@@ -52,7 +52,7 @@ from .problems import (
 )
 from .qpcore import QuadProgram, Solution, SolverConfig, check_feasibility, solve_qp
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError", "CapacityCurvePoint", "CommunitySeries",

@@ -72,7 +72,9 @@ def max_ratio_constrained(c: CommunitySeries) -> float:
     if c.export_limit is None:
         raise AnalysisError("no export limit; use max_ratio_unconstrained")
     deficit = float((c.load - c.gen).sum())
-    if float(c.export_limit.sum()) < deficit:
+    # relative slack: limits that sum to the deficit up to summation
+    # roundoff are the supported boundary case, not the sub-unity regime
+    if float(c.export_limit.sum()) < deficit * (1.0 - 1e-12):
         raise AnalysisError("sub-unity export regime: total export limit below deficit")
     spill = np.maximum(c.cap_plus - c.export_limit, 0.0)
     num = float((c.gen + c.cap_plus).sum())

@@ -458,6 +458,9 @@ def load_scenario(path, name=None):
     """Load a scenario config JSON (paths resolved relative to the file)."""
     with open(path) as fh:
         cfg = json.load(fh)
+    missing = [k for k in ("case_file", "profiles_file", "partition") if k not in cfg]
+    if missing:
+        raise ScenarioError(f"{path}: missing required key(s): {', '.join(missing)}")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):

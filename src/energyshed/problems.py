@@ -108,6 +108,8 @@ def _as_shed_vector(scenario, x_min):
         vec = np.asarray(x_min, dtype=float)
         if vec.shape != (k,):
             raise BuildError(f"x_min length {vec.shape} != shed count {k}")
+    if not np.isfinite(vec).all():
+        raise BuildError("ratio floors must be finite")
     if (vec < 0).any():
         raise BuildError("ratio floors must be nonnegative")
     return vec

@@ -8,12 +8,14 @@ Handles the canonical class every problem here compiles to:
                 lo <= x <= hi
 
 via a primal-dual interior-point method with Mehrotra predictor-corrector
-steps.  Bounds are folded into the inequality block internally.  Each
-Newton system is solved as a regularized quasi-definite KKT system with a
-sparse LU factorization (fixed symmetric minimum-degree ordering and
-diagonal pivoting, so runs are deterministic and fill stays low even when
-the slack diagonal is badly scaled).  Infeasibility is certified by an
-explicit phase-1 elastic program rather than dual rays.
+steps.  Each finite bound has its own slack and dual but enters the Newton
+system only as a diagonal barrier term on its variable (as in OOQP), so
+the KKT system has one row per variable, equality and general inequality.
+It is regularized and quasi-definite, its pattern is assembled once per
+solve, and it is factored by sparse LU (fixed symmetric minimum-degree
+ordering and diagonal pivoting, so runs are deterministic and fill stays
+low even when the slack diagonal is badly scaled).  Infeasibility is
+certified by an explicit phase-1 elastic program rather than dual rays.
 """
 
 from __future__ import annotations
@@ -146,48 +148,6 @@ class Solution:
 
 
 # ---------------------------------------------------------------------------
-# internal: fold bounds into the inequality block
-# ---------------------------------------------------------------------------
-
-def _extended_ineq(p):
-    """Stack [G; I on finite hi; -I on finite lo] and the matching rhs.
-
-    Returns (G_ext, h_ext, hi_idx, lo_idx); hi_idx/lo_idx give the variable
-    each appended row bounds, in order.
-    """
-    blocks, rhs = [], []
-    if p.m_ineq:
-        blocks.append(p.G_ineq)
-        rhs.append(p.h_ineq)
-    hi_idx = np.flatnonzero(np.isfinite(p.hi))
-    lo_idx = np.flatnonzero(np.isfinite(p.lo))
-    n = p.n
-    if hi_idx.size:
-        blocks.append(sp.csr_matrix((np.ones(hi_idx.size), (np.arange(hi_idx.size), hi_idx)),
-                                    shape=(hi_idx.size, n)))
-        rhs.append(p.hi[hi_idx])
-    if lo_idx.size:
-        blocks.append(sp.csr_matrix((-np.ones(lo_idx.size), (np.arange(lo_idx.size), lo_idx)),
-                                    shape=(lo_idx.size, n)))
-        rhs.append(-p.lo[lo_idx])
-    if not blocks:
-        return None, np.zeros(0), hi_idx, lo_idx
-    return sp.vstack(blocks, format="csr"), np.concatenate(rhs), hi_idx, lo_idx
-
-
-def _split_ineq_duals(p, z, hi_idx, lo_idx):
-    m = p.m_ineq
-    duals_ineq = z[:m].copy() if m else np.zeros(0)
-    duals_hi = np.zeros(p.n)
-    duals_lo = np.zeros(p.n)
-    pos = m
-    duals_hi[hi_idx] = z[pos:pos + hi_idx.size]
-    pos += hi_idx.size
-    duals_lo[lo_idx] = z[pos:pos + lo_idx.size]
-    return duals_ineq, duals_hi, duals_lo
-
-
-# ---------------------------------------------------------------------------
 # interior-point core
 # ---------------------------------------------------------------------------
 
@@ -226,19 +186,40 @@ def _solve_equality_qp(p, cfg):
 def _ipm(p, cfg):
     """Infeasible-start Mehrotra predictor-corrector.
 
+    Each finite bound keeps its own slack and dual, but its Newton row is
+    eliminated: it adds z/(s + _REG*z) to the (1,1) diagonal and a matching
+    term to the right-hand side (the Schur complement of the bound rows).
+    The KKT matrix therefore has dimension n + m_eq + m_ineq, its pattern is
+    assembled once, and each iteration rewrites only its diagonal.
+
     Returns (Solution-without-status-judgement, converged: bool).
     """
-    n = p.n
-    G, h, hi_idx, lo_idx = _extended_ineq(p)
-    if G is None:
+    n, mg, me = p.n, p.m_ineq, p.m_eq
+    hi_idx = np.flatnonzero(np.isfinite(p.hi))
+    lo_idx = np.flatnonzero(np.isfinite(p.lo))
+    if mg == 0 and hi_idx.size == 0 and lo_idx.size == 0:
         sol = _solve_equality_qp(p, cfg)
         return sol, sol.status == "optimal"
-    mi = G.shape[0]
-    me = p.m_eq
+    # inequality rows: G, then bound row j reading sgn[j] * x[bvar[j]] <= h[mg + j]
+    bvar = np.concatenate([hi_idx, lo_idx])
+    sgn = np.concatenate([np.ones(hi_idx.size), -np.ones(lo_idx.size)])
+    mi = mg + bvar.size
+    G = p.G_ineq if mg else sp.csr_matrix((0, n))
     A = p.A_eq if me else sp.csr_matrix((0, n))
     b = p.b_eq if me else np.zeros(0)
+    h = np.concatenate([p.h_ineq if mg else np.zeros(0), p.hi[hi_idx], -p.lo[lo_idx]])
     q2 = 2.0 * p.q_diag
     c = p.c_lin
+    GT = G.T.tocsr()
+    AT = A.T.tocsr()
+
+    def rows_x(x):
+        """All inequality rows applied to x: G x, then the bound rows."""
+        return np.concatenate([G @ x, sgn * x[bvar]])
+
+    def to_x(v):
+        """Sum the bound-row values v onto the variables they bound."""
+        return np.bincount(bvar, v, minlength=n)
 
     data_scale = 1.0 + max(np.abs(c).max(initial=0.0),
                            np.abs(h[np.isfinite(h)]).max(initial=0.0),
@@ -246,23 +227,29 @@ def _ipm(p, cfg):
 
     # starting point: shifted so all slacks and duals are comfortably interior
     x = np.clip(np.zeros(n), p.lo, p.hi)
-    s_raw = h - G @ x
+    s_raw = h - rows_x(x)
     shift = max(1.0, -1.5 * s_raw.min())
     s = s_raw + shift
     z = np.ones(mi)
     y = np.zeros(me)
 
-    # constant KKT blocks; only the (2,2) slack diagonal changes per iteration
-    GT = G.T.tocsr()
-    AT = A.T.tocsr()
+    # the pattern is fixed; diag_pos indexes K's diagonal inside K.data.
+    # splu sorts unsorted indices in place, so canonicalize K first.
+    K = sp.bmat([[sp.identity(n), GT, AT],
+                 [G, sp.identity(mg), None],
+                 [A, None, sp.identity(me)]], format="csc")
+    K.sum_duplicates()
+    diag_pos = np.flatnonzero(K.indices == np.repeat(np.arange(K.shape[0]),
+                                                     np.diff(K.indptr)))
+    diag = np.concatenate([q2 + _REG, np.zeros(mg), np.full(me, -_REG)])
 
     best = None
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        r_d = q2 * x + c + GT @ z + (AT @ y if me else 0.0)
-        r_p = A @ x - b if me else np.zeros(0)
-        r_g = G @ x + s - h
+        r_d = q2 * x + c + GT @ z[:mg] + to_x(sgn * z[mg:]) + AT @ y
+        r_p = A @ x - b
+        r_g = rows_x(x) + s - h
         mu = float(s @ z) / mi
 
         obj = p.objective(x)
@@ -280,13 +267,12 @@ def _ipm(p, cfg):
         if it > 40 and res_feas > 1e-4 and metric > 0.9 * best[0] and best[5] < it - 15:
             break
 
-        rows = [
-            [sp.diags(q2 + _REG), GT] + ([AT] if me else []),
-            [G, sp.diags(-s / z - _REG)] + ([None] if me else []),
-        ]
-        if me:
-            rows.append([A, None, sp.diags(np.full(me, -_REG))])
-        K = sp.bmat(rows, format="csc")
+        # 1 / (s/z + _REG) per bound row: the eliminated (2,2) entry inverted
+        d_b = z[mg:] / (s[mg:] + _REG * z[mg:])
+        diag[:n] = q2 + _REG + to_x(d_b)
+        diag[n:n + mg] = -s[:mg] / z[:mg] - _REG
+        K.data[diag_pos] = diag
+        lu = None  # release the previous factor before computing the next
         try:
             # quasi-definite after regularization: a fixed symmetric ordering
             # with diagonal pivoting keeps fill low even when the slack
@@ -298,11 +284,12 @@ def _ipm(p, cfg):
             break
 
         def newton(r_c):
-            rhs = np.concatenate([-r_d, -r_g + r_c / z, -r_p])
-            d = lu.solve(rhs)
+            r = -r_g + r_c / z
+            r_b = d_b * r[mg:]
+            d = lu.solve(np.concatenate([-r_d + to_x(sgn * r_b), r[:mg], -r_p]))
             dx = d[:n]
-            dz = d[n:n + mi]
-            dy = d[n + mi:]
+            dz = np.concatenate([d[n:n + mg], d_b * sgn * dx[bvar] - r_b])
+            dy = d[n + mg:]
             ds = (-r_c - s * dz) / z
             return dx, dy, dz, ds
 
@@ -325,8 +312,11 @@ def _ipm(p, cfg):
 
     if not converged and best is not None:
         _, x, y, z, s, _ = best
-    duals_ineq, duals_hi, duals_lo = _split_ineq_duals(p, z, hi_idx, lo_idx)
-    sol = Solution(x=x, duals_eq=y if me else np.zeros(0), duals_ineq=duals_ineq,
+    duals_hi = np.zeros(n)
+    duals_lo = np.zeros(n)
+    duals_hi[hi_idx] = z[mg:mg + hi_idx.size]
+    duals_lo[lo_idx] = z[mg + hi_idx.size:]
+    sol = Solution(x=x, duals_eq=y, duals_ineq=z[:mg].copy(),
                    objective=p.objective(x), status="optimal" if converged else "max_iter",
                    iterations=it, duals_lo=duals_lo, duals_hi=duals_hi)
     return sol, converged

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from energyshed.analytic import (
@@ -158,6 +158,9 @@ class TestAgainstOracle:
         assert max_ratio_unconstrained(c) == pytest.approx(oracle, abs=1e-9)
 
     @given(community(limited=True))
+    @example(CommunitySeries(gen=[0.0] * 6, load=[1.0, 1.0, 1.25, 0.25, 0.25, 0.25],
+                             cap_plus=[1.0, 1.0, 1.25, 0.25, 0.25, 0.25],
+                             export_limit=[4 / 6] * 6))  # limits sum to 4 - 4e-16
     @settings(max_examples=60, deadline=None)
     def test_constrained_matches_vertex_search(self, c):
         oracle = best_ratio_series(c.gen, c.load, c.cap_plus, c.export_limit)

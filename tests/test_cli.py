@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import energyshed
 from energyshed.cli import main
 
 CASE = """
@@ -80,6 +81,28 @@ class TestExitCodes:
         assert run(["validate", "--scenario", "/no/such.json"],
                    tmp_path / "o") == 2
 
+    def test_missing_required_key(self, scenario_file, tmp_path, capsys):
+        cfg = json.loads(open(scenario_file).read())
+        del cfg["partition"]
+        bad = os.path.join(os.path.dirname(scenario_file), "nopart.json")
+        with open(bad, "w") as fh:
+            json.dump(cfg, fh)
+        assert run(["solve-p1", "--scenario", bad, "--x-min", "0.4"],
+                   tmp_path / "o") == 2
+        assert "partition" in capsys.readouterr().err
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["exit_code"] == 2
+
+    @pytest.mark.parametrize("floor", ["nan", '{"0": NaN}'],
+                             ids=["scalar", "file"])
+    def test_non_finite_floor(self, scenario_file, tmp_path, floor):
+        if floor.startswith("{"):
+            path = tmp_path / "floors.json"
+            path.write_text(floor)
+            floor = str(path)
+        assert run(["solve-p1", "--scenario", scenario_file,
+                    "--x-min", floor], tmp_path / "o") == 2
+
     def test_infeasible_floor(self, scenario_file, tmp_path):
         # the linear frontier for bus 1 is 0.5; a floor of 5 cannot be met
         assert run(["solve-p1", "--scenario", scenario_file,
@@ -100,6 +123,17 @@ class TestOutputs:
         assert all(len(h) == 64 for h in man["inputs"].values())
         assert {"energyshed", "numpy", "scipy", "python"} <= set(man["versions"])
         assert "report.csv" in man["outputs"]
+
+    def test_manifest_version_matches_pyproject(self, scenario_file, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = os.path.join(os.path.dirname(__file__), os.pardir,
+                                 "pyproject.toml")
+        with open(pyproject, "rb") as fh:
+            version = tomllib.load(fh)["project"]["version"]
+        run(["validate", "--scenario", scenario_file], tmp_path / "o")
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert energyshed.__version__ == version
+        assert man["versions"]["energyshed"] == version
 
     def test_p2_trace_schema(self, scenario_file, tmp_path):
         assert run(["design-p2", "--scenario", scenario_file,

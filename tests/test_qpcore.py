@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
 
+from energyshed.problems import build_p1
 from energyshed.qpcore import (
     QPError,
     QuadProgram,
@@ -100,21 +102,28 @@ class TestAgainstLinprog:
         rng = np.random.default_rng(42)
         for _ in range(5):
             n, mi, me = 10, 6, 3
-            c = rng.normal(size=n)
             A = rng.normal(size=(me, n))
             G = rng.normal(size=(mi, n))
             x0 = rng.uniform(0.0, 1.0, n)  # ensures feasibility
             b = A @ x0
             h = G @ x0 + rng.uniform(0.1, 1.0, mi)
-            lo, hi = np.full(n, -4.0), np.full(n, 4.0)
-            sol = solve_qp(qp(q_diag=np.zeros(n), c_lin=c,
-                              A_eq=sp.csr_matrix(A), b_eq=b,
-                              G_ineq=sp.csr_matrix(G), h_ineq=h,
-                              lo=lo, hi=hi))
+            # free, lower-only, upper-only and boxed variables
+            kind = rng.permutation(np.arange(n) % 4)
+            lo = np.where(kind % 2 == 1, rng.uniform(-4.0, -0.5, n), -np.inf)
+            hi = np.where(kind >= 2, rng.uniform(1.5, 4.0, n), np.inf)
+            # c from a dual-feasible point keeps the LP bounded
+            w_lo = np.where(np.isfinite(lo), rng.uniform(0.0, 1.0, n), 0.0)
+            w_hi = np.where(np.isfinite(hi), rng.uniform(0.0, 1.0, n), 0.0)
+            c = (-A.T @ rng.normal(size=me) - G.T @ rng.uniform(0.0, 1.0, mi)
+                 + w_lo - w_hi)
+            p = qp(q_diag=np.zeros(n), c_lin=c, A_eq=sp.csr_matrix(A), b_eq=b,
+                   G_ineq=sp.csr_matrix(G), h_ineq=h, lo=lo, hi=hi)
+            sol = solve_qp(p)
             ref = linprog(c, A_ub=G, b_ub=h, A_eq=A, b_eq=b,
                           bounds=list(zip(lo, hi)), method="highs")
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(ref.fun, abs=1e-5)
+            assert max(kkt_residuals(p, sol)) <= 1e-6
 
 
 class TestAgainstActiveSetOracle:
@@ -175,6 +184,24 @@ class TestNumericalContracts:
         sol = solve_qp(p)
         assert sol.status == "optimal"
         assert max(kkt_residuals(p, sol)) <= 1e-6
+
+    def test_kkt_dimension_excludes_bounds(self, scenario_medium, monkeypatch):
+        # bounds live on the (1,1) diagonal, so every factored matrix has
+        # one row per variable, equality and general inequality
+        seen = []
+        splu = spla.splu
+
+        def recording_splu(K, *args, **kwargs):
+            seen.append((K.shape, K.nnz))
+            return splu(K, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        p, _ = build_p1(scenario_medium, 0.6)
+        assert np.isfinite(p.lo).sum() + np.isfinite(p.hi).sum() > 0
+        assert solve_qp(p).status == "optimal"
+        dim = p.n + p.m_eq + p.m_ineq
+        assert seen and {shape for shape, _ in seen} == {(dim, dim)}
+        assert len({nnz for _, nnz in seen}) == 1  # one fixed pattern
 
     def test_bit_identical_reruns(self):
         a = solve_qp(self.build())
