@@ -42,7 +42,7 @@ from .policy import (
     solve_p4,
 )
 from .problems import BuildError, build_p1, extract_report
-from .qpcore import SolverConfig, solve_qp
+from .qpcore import solve_qp
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -120,19 +120,25 @@ class _Run:
             fh.write("\n")
 
 
+def _print_violations(rep):
+    for v in rep.violations:
+        print(f"validation: [{v.code}] {v.message} ({v.location})",
+              file=sys.stderr)
+
+
 def _load_checked(path):
     scenario = load_scenario(path)
     rep = validate_scenario(scenario)
     if not rep.ok:
-        for v in rep.violations:
-            print(f"validation: [{v.code}] {v.message} ({v.location})",
-                  file=sys.stderr)
+        _print_violations(rep)
         raise ScenarioError(f"{len(rep.violations)} validation violation(s)")
     return scenario
 
 
 def _fmt(v):
     """Exact, locale-free float text so outputs are byte-reproducible."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         v = float(v)
         if math.isinf(v):
@@ -148,6 +154,16 @@ def _csv_text(header, rows):
     for row in rows:
         w.writerow([_fmt(v) for v in row])
     return out.getvalue()
+
+
+def _emit_table(run, stem, key, header, rows):
+    """Write rows as <stem>.csv, or as <stem>.json under key with one
+    object per row, keyed by the header."""
+    if run.args.format == "json":
+        run.write_json(f"{stem}.json",
+                       {key: [dict(zip(header, row)) for row in rows]})
+    else:
+        run.write_text(f"{stem}.csv", _csv_text(header, rows))
 
 
 def _report_summary(scenario, report, extra=None):
@@ -183,12 +199,8 @@ def _emit_report(run, scenario, report, summary):
         run.write_json("summary.json", summary)
 
 
-def _solver_config(args):
-    return SolverConfig()
-
-
 def _policy_config(args):
-    kw = {"solver": _solver_config(args)}
+    kw = {}
     if getattr(args, "epsilon", None) is not None:
         kw["epsilon"] = args.epsilon
     if getattr(args, "mesh", None) is not None:
@@ -212,9 +224,7 @@ def _cmd_validate(run):
                         "location": v.location} for v in rep.violations],
     })
     if not rep.ok:
-        for v in rep.violations:
-            print(f"validation: [{v.code}] {v.message} ({v.location})",
-                  file=sys.stderr)
+        _print_violations(rep)
         return EXIT_VALIDATION
     return EXIT_OK
 
@@ -227,7 +237,6 @@ def _cmd_analyze(run):
     grid = [round(b, 10) for b in
             np.arange(0.0, run.args.max_budget + 1e-12, run.args.budget_step)]
     rows = []
-    points = []
     for shed_id, members in scenario.partition.sheds:
         sel = [idx[b] for b in members]
         limit = None
@@ -246,16 +255,10 @@ def _cmd_analyze(run):
         curve = capacity_curve(series, grid, mode=run.args.mode)
         mwh = series.gamma * base * hours  # demand energy for conversions
         for pt in curve:
-            rows.append((shed_id, pt.budget, pt.budget * mwh,
+            rows.append((str(shed_id), pt.budget, pt.budget * mwh,
                          pt.max_ratio, pt.mode))
-            points.append({"shed": str(shed_id), "budget": pt.budget,
-                           "budget_mwh": pt.budget * mwh,
-                           "max_ratio": pt.max_ratio, "mode": pt.mode})
-    if run.args.format == "json":
-        run.write_json("curves.json", {"points": points})
-    else:
-        run.write_text("curves.csv", _csv_text(
-            ["shed", "budget", "budget_mwh", "max_ratio", "mode"], rows))
+    _emit_table(run, "curves", "points",
+                ["shed", "budget", "budget_mwh", "max_ratio", "mode"], rows)
     return EXIT_OK
 
 
@@ -267,21 +270,28 @@ def _x_min_value(arg):
     return float(arg)
 
 
+def _floor_number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BuildError(f"x-min {where}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _resolve_x_min(scenario, raw):
+    """A scalar floor, or one per shed from a {shed id: floor} object."""
     if isinstance(raw, dict):
         ids = scenario.partition.shed_ids()
         missing = [k for k in ids if str(k) not in raw]
         if missing:
             raise BuildError(f"x-min file missing shed id(s): {missing}")
-        return [float(raw[str(k)]) for k in ids]
-    return float(raw)
+        return [_floor_number(raw[str(k)], f"shed {k}") for k in ids]
+    return _floor_number(raw, "value")
 
 
 def _cmd_solve_p1(run):
     scenario = _load_checked(run.args.scenario)
     x_min = _resolve_x_min(scenario, _x_min_value(run.args.x_min))
     prog, lay = build_p1(scenario, x_min, check=False)
-    sol = solve_qp(prog, _solver_config(run.args))
+    sol = solve_qp(prog)
     if sol.status == "infeasible":
         raise InfeasibleError("requested ratio floors are infeasible")
     if sol.status != "optimal":
@@ -294,7 +304,7 @@ def _cmd_solve_p1(run):
 
 def _cmd_baseline(run):
     scenario = _load_checked(run.args.scenario)
-    cost, report = baseline(scenario, _solver_config(run.args))
+    cost, report = baseline(scenario)
     _emit_report(run, scenario, report, _report_summary(scenario, report))
     return EXIT_OK
 
@@ -302,13 +312,7 @@ def _cmd_baseline(run):
 def _cmd_design_p2(run):
     scenario = _load_checked(run.args.scenario)
     res = solve_p2(scenario, _policy_config(run.args))
-    trace_rows = [(t, "true" if ok else "false") for t, ok in res.trace]
-    if run.args.format == "json":
-        run.write_json("trace.json",
-                       {"trace": [{"tau": t, "feasible": ok}
-                                  for t, ok in res.trace]})
-    else:
-        run.write_text("trace.csv", _csv_text(["tau", "feasible"], trace_rows))
+    _emit_table(run, "trace", "trace", ["tau", "feasible"], res.trace)
     summary = _report_summary(scenario, res.report, {
         "tau_star": res.tau_star,
         "cost_normalized": res.cost_normalized,
@@ -322,13 +326,7 @@ def _cmd_design_p4(run):
     scenario = _load_checked(run.args.scenario)
     res = solve_p4(scenario, run.args.zeta, _policy_config(run.args),
                    threads=run.args.threads)
-    if run.args.format == "json":
-        run.write_json("trace.json",
-                       {"trace": [{"tau": t, "f_tau": f, "cost": c}
-                                  for t, f, c in res.trace]})
-    else:
-        run.write_text("trace.csv",
-                       _csv_text(["tau", "f_tau", "cost"], res.trace))
+    _emit_table(run, "trace", "trace", ["tau", "f_tau", "cost"], res.trace)
     summary = _report_summary(scenario, res.report, {
         "tau_star": res.tau_star,
         "f_star": res.f_star,
@@ -344,14 +342,8 @@ def _cmd_pareto(run):
     scenario = _load_checked(run.args.scenario)
     front = pareto_front(scenario, _policy_config(run.args),
                          threads=run.args.threads)
-    if run.args.format == "json":
-        run.write_json("front.json",
-                       {"front": [{"zeta": z, "tau_star": t,
-                                   "cost_normalized": c}
-                                  for z, t, c in front]})
-    else:
-        run.write_text("front.csv", _csv_text(
-            ["zeta", "tau_star", "cost_normalized"], front))
+    _emit_table(run, "front", "front",
+                ["zeta", "tau_star", "cost_normalized"], front)
     return EXIT_OK
 
 

@@ -370,6 +370,8 @@ def parse_profiles(text, network, grid):
         if kind not in ("load", "gen"):
             raise ProfileError(f"row {ln}: kind must be 'load' or 'gen', got {row[1]!r}")
         vals = np.array([float(v) for v in row[2:]])
+        if not np.isfinite(vals).all():
+            raise ProfileError(f"row {ln}: non-finite profile value")
         if (vals < 0).any():
             raise ProfileError(f"row {ln}: negative profile value")
         target = load if kind == "load" else gen
@@ -509,6 +511,14 @@ def load_scenario(path, name=None):
     )
 
 
+def _add_non_finite(rep, code, label, bad, net):
+    """One violation located at the first bus whose row of bad is set."""
+    hits = np.argwhere(bad)
+    if len(hits):
+        rep.add(code, f"non-finite {label} entries",
+                location=f"bus {net.buses[hits[0][0]].id}")
+
+
 def validate_scenario(scenario):
     """Check every type invariant; violations become report entries."""
     rep = ValidationReport()
@@ -538,7 +548,9 @@ def validate_scenario(scenario):
     for mat, label in ((b.cap_plus, "cap_plus"), (b.cap_minus, "cap_minus")):
         if mat.shape != (n, steps):
             rep.add("budget-shape", f"{label} shape {mat.shape} != ({n}, {steps})")
-        elif (mat < 0).any():
+            continue
+        _add_non_finite(rep, "non-finite-budget", label, ~np.isfinite(mat), net)
+        if (mat < 0).any():
             rep.add("negative-budget", f"negative {label} entries")
     if scenario.flex_only_at_load_buses and b.cap_plus.shape == (n, steps):
         for i, bus in enumerate(net.buses):
@@ -546,6 +558,11 @@ def validate_scenario(scenario):
                 rep.add("flex-at-load-free-bus",
                         f"bus {bus.id} has flexibility budget but no load",
                         location=f"bus {bus.id}")
+    # +-inf in an export limit means "no limit"; only NaN is malformed
+    for mat, label in ((b.export_upper, "export_limits.upper"),
+                       (b.export_lower, "export_limits.lower")):
+        if mat is not None and mat.shape == (n, steps):
+            _add_non_finite(rep, "non-finite-export-limit", label, np.isnan(mat), net)
     if b.export_upper is not None and b.export_lower is not None:
         if (b.export_lower > b.export_upper).any():
             rep.add("export-bounds-crossed", "export lower bound exceeds upper bound")
@@ -553,7 +570,9 @@ def validate_scenario(scenario):
     for vec, label in ((scenario.weights.alpha, "alpha"), (scenario.weights.beta, "beta")):
         if vec.shape != (n,):
             rep.add("weight-shape", f"{label} length {vec.shape} != {n}")
-        elif (vec < 0).any():
+            continue
+        _add_non_finite(rep, "non-finite-weight", label, ~np.isfinite(vec), net)
+        if (vec < 0).any():
             rep.add("negative-weight", f"negative {label} entries")
 
     # partition invariants

@@ -36,7 +36,6 @@ class PolicyConfig:
     mesh: float = 0.01
     refine_rounds: int = 1
     zeta_grid: tuple[float, ...] = tuple(float(z) for z in np.logspace(-2, 4, 13))
-    expand_bracket: bool = False  # double tau_hi until infeasible before bisecting
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -79,51 +78,31 @@ def baseline(scenario, solver_cfg=None):
 def solve_p2(scenario, cfg=None):
     """Maximize the minimum shed ratio by bisection on the feasibility problem.
 
-    Runs exactly ceil(log2(bracket/epsilon)) probes.  The lower bracket end
-    is not probed up front; if every probe is infeasible the bracket
-    collapses onto tau_lo, which is then checked once and reported as an
-    invalid bracket if infeasible.
+    Runs exactly ceil(log2(bracket/epsilon)) probes, one phase-1 solve each.
+    The lower bracket end is not probed: if every probe is infeasible the
+    bracket collapses onto tau_lo, and the cost solve there is the check
+    (an infeasible one is reported as an invalid bracket).  The bracket is
+    never widened; a caller who expects tau* > 1 sets tau_hi.
     """
     cfg = cfg or PolicyConfig()
     lo, hi = cfg.tau_lo, cfg.tau_hi
-    trace = []
-    probes = 0
-
-    if cfg.expand_bracket:
-        while _p3_feasible(scenario, hi, cfg):
-            trace.append((hi, True))
-            probes += 1
-            lo, hi = hi, 2 * hi
-            if hi > 1e6:
-                raise PolicyError("bracket expansion diverged")
-        trace.append((hi, False))
-        probes += 1
-
     n_iter = max(1, math.ceil(math.log2((hi - lo) / cfg.epsilon)))
-    lo_verified = False
+    trace = []
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
         ok = _p3_feasible(scenario, mid, cfg)
         trace.append((mid, ok))
-        probes += 1
         if ok:
             lo = mid
-            lo_verified = True
         else:
             hi = mid
-
-    if not lo_verified:
-        probes += 1
-        if _p3_feasible(scenario, lo, cfg):
-            trace.append((lo, True))
-        else:
-            trace.append((lo, False))
-            raise InfeasibleError(f"infeasible at tau_lo = {lo}: bracket invalid")
 
     tau_star = lo
     prog, lay = build_p1(scenario, tau_star, check=False)
     sol = solve_qp(prog, cfg.solver)
     if sol.status == "infeasible":
+        if tau_star == cfg.tau_lo:  # every probe was infeasible
+            raise InfeasibleError(f"infeasible at tau_lo = {tau_star}: bracket invalid")
         raise InfeasibleError(f"cost solve at tau* = {tau_star} infeasible")
     if sol.status != "optimal":
         raise PolicyError(f"cost solve at tau* failed: status {sol.status}")
@@ -131,7 +110,7 @@ def solve_p2(scenario, cfg=None):
     cost0, _ = baseline(scenario, cfg.solver)
     return PolicyResult(tau_star=tau_star, kind="p2", cost=sol.objective,
                         cost_normalized=_normalize(sol.objective, cost0),
-                        report=report, trace=trace, probes=probes)
+                        report=report, trace=trace, probes=len(trace))
 
 
 def _normalize(cost, cost0):

@@ -14,8 +14,10 @@ the KKT system has one row per variable, equality and general inequality.
 It is regularized and quasi-definite, its pattern is assembled once per
 solve, and it is factored by sparse LU (fixed symmetric minimum-degree
 ordering and diagonal pivoting, so runs are deterministic and fill stays
-low even when the slack diagonal is badly scaled).  Infeasibility is
-certified by an explicit phase-1 elastic program rather than dual rays.
+low even when the slack diagonal is badly scaled).  Every program, with
+or without inequalities, goes through this one KKT path.  Infeasibility
+is certified by an explicit phase-1 elastic program rather than dual
+rays, solved once to a tight duality gap.
 """
 
 from __future__ import annotations
@@ -155,34 +157,6 @@ _REG = 1e-8      # static primal/dual regularization of the KKT system
 _STEP = 0.995    # fraction-to-boundary factor
 
 
-def _solve_equality_qp(p, cfg):
-    """No inequalities at all: one regularized Newton solve plus refinement."""
-    n, me = p.n, p.m_eq
-    if me:
-        K_reg = sp.bmat([[sp.diags(2.0 * p.q_diag + _REG), p.A_eq.T],
-                         [p.A_eq, -_REG * sp.identity(me)]], format="csc")
-        K_true = sp.bmat([[sp.diags(2.0 * p.q_diag), p.A_eq.T],
-                          [p.A_eq, None]], format="csc")
-        rhs = np.concatenate([-p.c_lin, p.b_eq])
-    else:
-        K_reg = sp.csc_matrix(sp.diags(2.0 * p.q_diag + _REG))
-        K_true = sp.csc_matrix(sp.diags(2.0 * p.q_diag))
-        rhs = -p.c_lin
-    lu = spla.splu(K_reg, permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    sol = lu.solve(rhs)
-    for _ in range(3):  # refinement removes the regularization bias
-        sol = sol + lu.solve(rhs - K_true @ sol)
-    x, y = sol[:n], sol[n:]
-    res_stat = np.abs(2 * p.q_diag * x + p.c_lin + (p.A_eq.T @ y if me else 0)).max() if n else 0.0
-    res_feas = np.abs(p.A_eq @ x - p.b_eq).max() if me else 0.0
-    scale = 1.0 + max(np.abs(p.c_lin).max(initial=0), np.abs(p.b_eq).max(initial=0) if me else 0)
-    ok = res_stat <= cfg.tol_dual * scale and res_feas <= cfg.tol_primal * scale
-    return Solution(x=x, duals_eq=y, duals_ineq=np.zeros(0),
-                    objective=p.objective(x), status="optimal" if ok else "max_iter",
-                    iterations=1, duals_lo=np.zeros(n), duals_hi=np.zeros(n))
-
-
 def _ipm(p, cfg):
     """Infeasible-start Mehrotra predictor-corrector.
 
@@ -190,16 +164,15 @@ def _ipm(p, cfg):
     eliminated: it adds z/(s + _REG*z) to the (1,1) diagonal and a matching
     term to the right-hand side (the Schur complement of the bound rows).
     The KKT matrix therefore has dimension n + m_eq + m_ineq, its pattern is
-    assembled once, and each iteration rewrites only its diagonal.
+    assembled once, and each iteration rewrites only its diagonal.  A
+    program with no inequality rows and no finite bounds takes the same
+    path: mu is then zero and each step is a damped Newton step.
 
     Returns (Solution-without-status-judgement, converged: bool).
     """
     n, mg, me = p.n, p.m_ineq, p.m_eq
     hi_idx = np.flatnonzero(np.isfinite(p.hi))
     lo_idx = np.flatnonzero(np.isfinite(p.lo))
-    if mg == 0 and hi_idx.size == 0 and lo_idx.size == 0:
-        sol = _solve_equality_qp(p, cfg)
-        return sol, sol.status == "optimal"
     # inequality rows: G, then bound row j reading sgn[j] * x[bvar[j]] <= h[mg + j]
     bvar = np.concatenate([hi_idx, lo_idx])
     sgn = np.concatenate([np.ones(hi_idx.size), -np.ones(lo_idx.size)])
@@ -228,7 +201,7 @@ def _ipm(p, cfg):
     # starting point: shifted so all slacks and duals are comfortably interior
     x = np.clip(np.zeros(n), p.lo, p.hi)
     s_raw = h - rows_x(x)
-    shift = max(1.0, -1.5 * s_raw.min())
+    shift = max(1.0, -1.5 * s_raw.min(initial=0.0))
     s = s_raw + shift
     z = np.ones(mi)
     y = np.zeros(me)
@@ -250,7 +223,7 @@ def _ipm(p, cfg):
         r_d = q2 * x + c + GT @ z[:mg] + to_x(sgn * z[mg:]) + AT @ y
         r_p = A @ x - b
         r_g = rows_x(x) + s - h
-        mu = float(s @ z) / mi
+        mu = float(s @ z) / max(mi, 1)
 
         obj = p.objective(x)
         res_stat = np.abs(r_d).max() / data_scale
@@ -297,7 +270,7 @@ def _ipm(p, cfg):
         dx, dy, dz, ds = newton(s * z)
         ap = _max_step(s, ds)
         ad = _max_step(z, dz)
-        mu_aff = float((s + ap * ds) @ (z + ad * dz)) / mi
+        mu_aff = float((s + ap * ds) @ (z + ad * dz)) / max(mi, 1)
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # corrector
@@ -369,21 +342,18 @@ def check_feasibility(p, cfg=None):
         return "infeasible"
     if p.m_eq == 0 and p.m_ineq == 0:
         return "feasible"
-    ph = _phase1_program(p)
-    sol, converged = _ipm(ph, cfg)
     scale = 1.0 + max(np.abs(p.b_eq).max(initial=0.0) if p.m_eq else 0.0,
                       np.abs(p.h_ineq[np.isfinite(p.h_ineq)]).max(initial=0.0)
                       if p.m_ineq else 0.0)
     thr = cfg.feas_tol * scale
-    if 1e-2 * thr < sol.objective < 1e2 * thr:
-        # ambiguous band: the IPM's mean-complementarity stop leaves a total
-        # duality gap of order tol_gap * m_ineq, which can straddle thr on
-        # marginal problems; re-solve the elastic LP to a much tighter gap
-        tight = SolverConfig(tol_primal=min(cfg.tol_primal, 1e-9),
-                             tol_dual=min(cfg.tol_dual, 1e-9),
-                             tol_gap=min(cfg.tol_gap, 1e-12),
-                             max_iter=cfg.max_iter, feas_tol=cfg.feas_tol)
-        sol, converged = _ipm(ph, tight)
+    # the IPM's mean-complementarity stop leaves a total duality gap of order
+    # tol_gap * m_ineq, which at the default tolerances can straddle thr on
+    # marginal problems; so the elastic LP is solved to a much tighter gap
+    tight = SolverConfig(tol_primal=min(cfg.tol_primal, 1e-9),
+                         tol_dual=min(cfg.tol_dual, 1e-9),
+                         tol_gap=min(cfg.tol_gap, 1e-12),
+                         max_iter=cfg.max_iter, feas_tol=cfg.feas_tol)
+    sol, _ = _ipm(_phase1_program(p), tight)
     return "feasible" if sol.objective <= thr else "infeasible"
 
 

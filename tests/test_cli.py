@@ -103,6 +103,26 @@ class TestExitCodes:
         assert run(["solve-p1", "--scenario", scenario_file,
                     "--x-min", floor], tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("floor", ["[0.5]", '{"0": null}', '{"0": "0.4"}'],
+                             ids=["list", "null-value", "string-value"])
+    def test_malformed_floor_file(self, scenario_file, tmp_path, floor):
+        path = tmp_path / "floors.json"
+        path.write_text(floor)
+        assert run(["solve-p1", "--scenario", scenario_file,
+                    "--x-min", str(path)], tmp_path / "o") == 2
+        assert (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("profiles", [
+        "bus,kind,t1,t2\n1,load,1.0,1.0\n1,gen,nan,0.2\n",
+        "bus,kind,t1,t2\n1,load,nan,1.0\n1,gen,0.2,0.2\n",
+    ], ids=["gen", "load"])
+    def test_non_finite_profile(self, scenario_file, tmp_path, profiles, capsys):
+        (tmp_path / "tiny.csv").write_text(profiles)
+        assert run(["validate", "--scenario", scenario_file],
+                   tmp_path / "o") == 2
+        assert "non-finite profile value" in capsys.readouterr().err
+        assert (tmp_path / "o" / "manifest.json").exists()
+
     def test_infeasible_floor(self, scenario_file, tmp_path):
         # the linear frontier for bus 1 is 0.5; a floor of 5 cannot be met
         assert run(["solve-p1", "--scenario", scenario_file,

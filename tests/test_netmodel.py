@@ -145,6 +145,8 @@ class TestProfiles:
         ("1,fuel,1,1,1", "kind"),
         ("1,load,1,1", "columns"),
         ("1,load,-1,1,1", "negative"),
+        ("1,load,nan,1,1", "row 2: non-finite"),
+        ("3,gen,1,inf,1", "row 2: non-finite"),
     ])
     def test_bad_rows(self, row, msg):
         with pytest.raises(ProfileError, match=msg):
@@ -203,6 +205,30 @@ class TestValidation:
         s = self.build()
         s.budgets.cap_plus[0, 0] = -1.0
         assert "negative-budget" in validate_scenario(s).codes()
+
+    @pytest.mark.parametrize("field,value,code", [
+        ("cap_plus", np.nan, "non-finite-budget"),
+        ("cap_minus", np.inf, "non-finite-budget"),
+        ("alpha", np.nan, "non-finite-weight"),
+        ("beta", -np.inf, "non-finite-weight"),
+    ])
+    def test_non_finite_budget_or_weight(self, field, value, code):
+        s = self.build()
+        arr = getattr(s.budgets if field.startswith("cap") else s.weights,
+                      field)
+        arr[2] = value
+        bad = [v for v in validate_scenario(s).violations if v.code == code]
+        assert [v.location for v in bad] == ["bus 3"]
+
+    def test_non_finite_export_limit(self):
+        upper = np.full((3, 2), np.inf)  # +-inf means no limit
+        lower = np.full((3, 2), -np.inf)
+        s = self.build(export_upper=upper, export_lower=lower)
+        assert validate_scenario(s).ok
+        upper[1, 1] = np.nan
+        bad = [v for v in validate_scenario(s).violations
+               if v.code == "non-finite-export-limit"]
+        assert [v.location for v in bad] == ["bus 2"]
 
     def test_flex_at_load_free_bus(self):
         # bus 2 has no load but a positive budget

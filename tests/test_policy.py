@@ -75,7 +75,7 @@ class TestBisection:
 
     def test_bracket_expansion(self):
         s = sink_scenario(cap1=2.0)  # bound = 0.2 + 4 / 2 = 2.2
-        res = solve_p2(s, PolicyConfig(expand_bracket=True, epsilon=1e-5))
+        res = solve_p2(s, PolicyConfig(tau_hi=4.0, epsilon=1e-5))
         assert res.tau_star == pytest.approx(2.2, abs=1e-4)
 
     def test_without_expansion_clamps_to_bracket(self):

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
 
-from energyshed.problems import build_p1
+from energyshed import qpcore
+from energyshed.problems import build_p1, build_p3
 from energyshed.qpcore import (
     QPError,
     QuadProgram,
@@ -202,6 +203,22 @@ class TestNumericalContracts:
         dim = p.n + p.m_eq + p.m_ineq
         assert seen and {shape for shape, _ in seen} == {(dim, dim)}
         assert len({nnz for _, nnz in seen}) == 1  # one fixed pattern
+
+    def test_phase1_is_one_solve(self, scenario_medium, monkeypatch):
+        # the elastic LP is solved once, at the tight gap, even on a
+        # feasible probe whose phase-1 optimum sits near the threshold
+        calls = []
+        ipm = qpcore._ipm
+
+        def counting_ipm(p, cfg):
+            calls.append(cfg)
+            return ipm(p, cfg)
+
+        monkeypatch.setattr(qpcore, "_ipm", counting_ipm)
+        probe = build_p3(scenario_medium, 0.6, check=False)
+        assert check_feasibility(probe) == "feasible"
+        assert len(calls) == 1
+        assert calls[0].tol_gap <= 1e-12
 
     def test_bit_identical_reruns(self):
         a = solve_qp(self.build())
