@@ -35,6 +35,7 @@ from .policy import (
     InfeasibleError,
     PolicyConfig,
     PolicyError,
+    PolicyInputError,
     PolicyResult,
     baseline,
     pareto_front,
@@ -50,7 +51,7 @@ from .problems import (
     evaluate_f_tau,
     extract_report,
 )
-from .qpcore import QuadProgram, Solution, SolverConfig, check_feasibility, solve_qp
+from .qpcore import QuadProgram, Solution, check_feasibility, solve_qp
 
 __version__ = "0.1.0"
 
@@ -63,10 +64,10 @@ __all__ = [
     "ScenarioError", "TimeGrid", "ValidationReport", "baseline_ratio",
     "load_scenario", "parse_matpower_case", "parse_profiles",
     "total_demand", "validate_scenario",
-    "InfeasibleError", "PolicyConfig", "PolicyError", "PolicyResult",
+    "InfeasibleError", "PolicyConfig", "PolicyError", "PolicyInputError",
+    "PolicyResult",
     "baseline", "pareto_front", "solve_p2", "solve_p4",
     "BuildError", "OperationReport", "VariableLayout", "build_p1",
     "build_p3", "evaluate_f_tau", "extract_report",
-    "QuadProgram", "Solution", "SolverConfig", "check_feasibility",
-    "solve_qp",
+    "QuadProgram", "Solution", "check_feasibility", "solve_qp",
 ]

@@ -29,7 +29,9 @@ from .netmodel import (
     CaseParseError,
     ProfileError,
     ScenarioError,
+    as_number,
     load_scenario,
+    scenario_files,
     validate_scenario,
 )
 from .policy import (
@@ -58,18 +60,6 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _scenario_files(path):
-    """The scenario JSON plus the case and profile files it references."""
-    files = [path]
-    with open(path) as fh:
-        cfg = json.load(fh)
-    base = os.path.dirname(os.path.abspath(path))
-    for key in ("case_file", "profiles_file"):
-        if key in cfg:
-            files.append(os.path.join(base, cfg[key]))
-    return files
-
-
 class _Run:
     """Collects outputs and writes the run manifest on close."""
 
@@ -90,11 +80,15 @@ class _Run:
         return self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
     def _inputs(self):
+        """The scenario JSON and the case and profile files it names, those
+        that exist; none if it cannot be read or names them wrongly."""
+        path = self.args.scenario
         try:
-            return [p for p in _scenario_files(self.args.scenario)
-                    if os.path.exists(p)]
-        except (OSError, json.JSONDecodeError):
+            with open(path) as fh:
+                files = [path, *scenario_files(path, json.load(fh)).values()]
+        except (OSError, ValueError):
             return []
+        return [p for p in files if os.path.exists(p)]
 
     def close(self, exit_code):
         cfg = {k: v for k, v in sorted(vars(self.args).items())
@@ -207,7 +201,10 @@ def _policy_config(args):
         kw["mesh"] = args.mesh
     if getattr(args, "zeta_grid", None):
         with open(args.zeta_grid) as fh:
-            kw["zeta_grid"] = tuple(float(z) for z in json.load(fh))
+            grid = json.load(fh)
+        if not isinstance(grid, list):
+            raise BuildError(f"zeta grid: expected a JSON list, got {grid!r}")
+        kw["zeta_grid"] = tuple(as_number(z, "zeta grid") for z in grid)
     return PolicyConfig(**kw)
 
 
@@ -230,6 +227,10 @@ def _cmd_validate(run):
 
 
 def _cmd_analyze(run):
+    for flag, v in (("--budget-step", run.args.budget_step),
+                    ("--max-budget", run.args.max_budget)):
+        if not 0 < v < math.inf:
+            raise AnalysisError(f"{flag} must be positive and finite, got {v!r}")
     scenario = _load_checked(run.args.scenario)
     idx = scenario.network.bus_index()
     hours = scenario.time_grid.step_hours
@@ -270,12 +271,6 @@ def _x_min_value(arg):
     return float(arg)
 
 
-def _floor_number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BuildError(f"x-min {where}: expected a number, got {value!r}")
-    return float(value)
-
-
 def _resolve_x_min(scenario, raw):
     """A scalar floor, or one per shed from a {shed id: floor} object."""
     if isinstance(raw, dict):
@@ -283,8 +278,8 @@ def _resolve_x_min(scenario, raw):
         missing = [k for k in ids if str(k) not in raw]
         if missing:
             raise BuildError(f"x-min file missing shed id(s): {missing}")
-        return [_floor_number(raw[str(k)], f"shed {k}") for k in ids]
-    return _floor_number(raw, "value")
+        return [as_number(raw[str(k)], f"x-min shed {k}") for k in ids]
+    return as_number(raw, "x-min value")
 
 
 def _cmd_solve_p1(run):

@@ -90,8 +90,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.steps < 1:
             raise ScenarioError("time grid must have at least one step")
-        if self.step_hours <= 0:
-            raise ScenarioError("step_hours must be positive")
+        if not 0 < self.step_hours < INF:
+            raise ScenarioError("step_hours must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -424,58 +424,85 @@ def induced_subgraph_connected(network, nodes):
 # scenario assembly and validation
 # ---------------------------------------------------------------------------
 
-def _per_bus_field(spec, network, steps, name, default=0.0):
-    """Expand a {bus id: scalar | [T]} mapping into an (n_bus, T) array."""
-    arr = np.full((network.n_bus, steps), default, dtype=float)
+def as_number(val, where):
+    """float(val) for a JSON number; a ScenarioError naming where otherwise."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {val!r}")
+    return float(val)
+
+
+def _per_bus(spec, network, name, steps=None, default=0.0):
+    """Expand a {bus id: value} object into an (n_bus,) vector of scalars,
+    or, given steps, into an (n_bus, steps) array of scalars or lists."""
+    arr = np.full((network.n_bus,) if steps is None else (network.n_bus, steps),
+                  default, dtype=float)
     if spec is None:
         return arr
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{name}: expected an object keyed by bus id, got {spec!r}")
     idx = network.bus_index()
     for key, val in spec.items():
-        bid = int(key)
+        try:
+            bid = int(key)
+        except ValueError:
+            raise ScenarioError(f"{name}: invalid bus id {key!r}") from None
         if bid not in idx:
             raise ScenarioError(f"{name}: unknown bus {bid}")
-        if isinstance(val, (int, float)):
-            arr[idx[bid], :] = float(val)
-        else:
+        where = f"{name}: bus {bid}"
+        if steps is not None and isinstance(val, list):
             if len(val) != steps:
-                raise ScenarioError(f"{name}: bus {bid} needs {steps} values, got {len(val)}")
-            arr[idx[bid], :] = [float(v) for v in val]
+                raise ScenarioError(f"{where} needs {steps} values, got {len(val)}")
+            arr[idx[bid]] = [as_number(v, where) for v in val]
+        else:
+            arr[idx[bid]] = as_number(val, where)
     return arr
 
 
-def _per_bus_vector(spec, network, name):
-    vec = np.zeros(network.n_bus)
-    if spec is None:
-        return vec
-    idx = network.bus_index()
-    for key, val in spec.items():
-        bid = int(key)
-        if bid not in idx:
-            raise ScenarioError(f"{name}: unknown bus {bid}")
-        vec[idx[bid]] = float(val)
-    return vec
+def _partition(spec):
+    if not isinstance(spec, list):
+        raise ScenarioError(f"partition: expected a list of sheds, got {spec!r}")
+    for k, nodes in enumerate(spec):
+        if not isinstance(nodes, list) or not all(
+                isinstance(b, int) and not isinstance(b, bool) for b in nodes):
+            raise ScenarioError(f"partition: shed {k}: expected a list of integer "
+                                f"bus ids, got {nodes!r}")
+    return Partition(sheds=tuple((k, tuple(nodes)) for k, nodes in enumerate(spec)))
+
+
+def scenario_files(path, cfg):
+    """{key: path} for the case and profile files that the scenario config
+    cfg (parsed from path) names, resolved relative to path's directory."""
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"{path}: expected a JSON object")
+    base = os.path.dirname(os.path.abspath(path))
+    files = {}
+    for key in ("case_file", "profiles_file"):
+        if key in cfg:
+            if not isinstance(cfg[key], str):
+                raise ScenarioError(f"{key}: expected a path string, got {cfg[key]!r}")
+            files[key] = os.path.join(base, cfg[key])  # join keeps an absolute path
+    return files
 
 
 def load_scenario(path, name=None):
     """Load a scenario config JSON (paths resolved relative to the file)."""
     with open(path) as fh:
         cfg = json.load(fh)
+    files = scenario_files(path, cfg)
     missing = [k for k in ("case_file", "profiles_file", "partition") if k not in cfg]
     if missing:
         raise ScenarioError(f"{path}: missing required key(s): {', '.join(missing)}")
-    base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    with open(resolve(cfg["case_file"])) as fh:
+    with open(files["case_file"]) as fh:
         network = parse_matpower_case(fh.read())
 
-    with open(resolve(cfg["profiles_file"])) as fh:
+    with open(files["profiles_file"]) as fh:
         profile_text = fh.read()
+    if not profile_text.strip():
+        raise ProfileError(f"{files['profiles_file']}: empty profile file")
     header = profile_text.splitlines()[0].split(",")
     steps = len(header) - 2
-    grid = TimeGrid(steps=steps, step_hours=float(cfg.get("step_hours", 1.0)))
+    grid = TimeGrid(steps=steps, step_hours=as_number(cfg.get("step_hours", 1.0), "step_hours"))
     profiles = parse_profiles(profile_text, network, grid)
 
     # has_load flags follow the profiles, which are the authority on demand
@@ -483,29 +510,30 @@ def load_scenario(path, name=None):
     buses = tuple(replace(b, has_load=bool(g > 0)) for b, g in zip(network.buses, gamma))
     network = replace(network, buses=buses)
 
+    limits = cfg.get("export_limits", {})
+    if not isinstance(limits, dict):
+        raise ScenarioError(f"export_limits: expected an object with 'upper'/'lower', "
+                            f"got {limits!r}")
+    has_limits = "export_limits" in cfg
     budgets = FlexBudget(
-        cap_plus=_per_bus_field(cfg.get("cap_plus"), network, steps, "cap_plus"),
-        cap_minus=_per_bus_field(cfg.get("cap_minus"), network, steps, "cap_minus"),
-        export_upper=(_per_bus_field(cfg["export_limits"].get("upper"), network, steps,
-                                     "export_limits.upper", default=INF)
-                      if "export_limits" in cfg else None),
-        export_lower=(_per_bus_field(cfg["export_limits"].get("lower"), network, steps,
-                                     "export_limits.lower", default=-INF)
-                      if "export_limits" in cfg else None),
+        cap_plus=_per_bus(cfg.get("cap_plus"), network, "cap_plus", steps),
+        cap_minus=_per_bus(cfg.get("cap_minus"), network, "cap_minus", steps),
+        export_upper=(_per_bus(limits.get("upper"), network, "export_limits.upper",
+                               steps, default=INF) if has_limits else None),
+        export_lower=(_per_bus(limits.get("lower"), network, "export_limits.lower",
+                               steps, default=-INF) if has_limits else None),
     )
     weights = CostWeights(
-        alpha=_per_bus_vector(cfg.get("alpha"), network, "alpha"),
-        beta=_per_bus_vector(cfg.get("beta"), network, "beta"),
+        alpha=_per_bus(cfg.get("alpha"), network, "alpha"),
+        beta=_per_bus(cfg.get("beta"), network, "beta"),
     )
-    sheds = tuple((k, tuple(int(b) for b in nodes))
-                  for k, nodes in enumerate(cfg["partition"]))
     return Scenario(
         network=network,
         time_grid=grid,
         profiles=profiles,
         budgets=budgets,
         weights=weights,
-        partition=Partition(sheds=sheds),
+        partition=_partition(cfg["partition"]),
         flex_only_at_load_buses=bool(cfg.get("flex_only_at_load_buses", True)),
         name=name or os.path.splitext(os.path.basename(path))[0],
     )

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .problems import build_p1, build_p3, evaluate_f_tau, extract_report
-from .qpcore import SolverConfig, check_feasibility, solve_qp
+from .qpcore import check_feasibility, solve_qp
 
 INF = math.inf
 
@@ -28,23 +28,26 @@ class InfeasibleError(PolicyError):
     """No dispatch satisfies the requested ratio floor."""
 
 
+class PolicyInputError(PolicyError, ValueError):
+    """A policy parameter out of its range (the CLI reports exit code 2)."""
+
+
 @dataclass
 class PolicyConfig:
     epsilon: float = 1e-6
     tau_lo: float = 0.0
     tau_hi: float = 1.0
     mesh: float = 0.01
-    refine_rounds: int = 1
     zeta_grid: tuple[float, ...] = tuple(float(z) for z in np.logspace(-2, 4, 13))
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise PolicyError("epsilon must be positive")
-        if self.tau_lo >= self.tau_hi:
-            raise PolicyError("bracket must satisfy tau_lo < tau_hi")
-        if self.mesh <= 0:
-            raise PolicyError("mesh must be positive")
+        # chained comparisons, so NaN fails each check
+        if not 0 < self.epsilon < INF:
+            raise PolicyInputError("epsilon must be positive and finite")
+        if not -INF < self.tau_lo < self.tau_hi < INF:
+            raise PolicyInputError("bracket must be finite with tau_lo < tau_hi")
+        if not 0 < self.mesh < INF:
+            raise PolicyInputError("mesh must be positive and finite")
 
 
 @dataclass
@@ -59,15 +62,10 @@ class PolicyResult:
     probes: int = 0
 
 
-def _p3_feasible(scenario, tau, cfg):
-    prog = build_p3(scenario, tau, check=False)
-    return check_feasibility(prog, cfg.solver) == "feasible"
-
-
-def baseline(scenario, solver_cfg=None):
+def baseline(scenario):
     """Cost and report with no ratio requirements; normalization anchor."""
     prog, lay = build_p1(scenario, 0.0)
-    sol = solve_qp(prog, solver_cfg or SolverConfig())
+    sol = solve_qp(prog)
     if sol.status == "infeasible":
         raise InfeasibleError("baseline problem infeasible")
     if sol.status != "optimal":
@@ -90,7 +88,7 @@ def solve_p2(scenario, cfg=None):
     trace = []
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
-        ok = _p3_feasible(scenario, mid, cfg)
+        ok = check_feasibility(build_p3(scenario, mid, check=False)) == "feasible"
         trace.append((mid, ok))
         if ok:
             lo = mid
@@ -99,7 +97,7 @@ def solve_p2(scenario, cfg=None):
 
     tau_star = lo
     prog, lay = build_p1(scenario, tau_star, check=False)
-    sol = solve_qp(prog, cfg.solver)
+    sol = solve_qp(prog)
     if sol.status == "infeasible":
         if tau_star == cfg.tau_lo:  # every probe was infeasible
             raise InfeasibleError(f"infeasible at tau_lo = {tau_star}: bracket invalid")
@@ -107,7 +105,7 @@ def solve_p2(scenario, cfg=None):
     if sol.status != "optimal":
         raise PolicyError(f"cost solve at tau* failed: status {sol.status}")
     report = extract_report(scenario, lay, sol)
-    cost0, _ = baseline(scenario, cfg.solver)
+    cost0, _ = baseline(scenario)
     return PolicyResult(tau_star=tau_star, kind="p2", cost=sol.objective,
                         cost_normalized=_normalize(sol.objective, cost0),
                         report=report, trace=trace, probes=len(trace))
@@ -122,80 +120,61 @@ def solve_p4(scenario, zeta, cfg=None, baseline_cost=None,
     """Sweep the ratio floor over a mesh and maximize tau - cost/zeta.
 
     Ties break toward the smaller (less restrictive) floor.  One local
-    refinement round per config shrinks the mesh tenfold around the
-    incumbent.  The per-floor cost solve does not depend on zeta, so an
-    external cost_cache ({tau: report-or-None}) may be shared across calls;
-    with threads > 1 uncached mesh points are solved concurrently and
-    merged back in input order, so traces match the sequential run.
+    refinement sweep shrinks the mesh tenfold around the incumbent.  Each
+    sweep first solves its uncached points (concurrently with threads > 1),
+    then reads the incumbent and the trace from the cost cache.  The
+    per-floor cost solve does not depend on zeta, so an external cost_cache
+    ({round(tau, 12): report-or-None}) may be shared across calls.
     """
-    if zeta <= 0:
-        raise PolicyError("zeta must be positive")
+    if not 0 < zeta < INF:
+        raise PolicyInputError("zeta must be positive and finite")
     cfg = cfg or PolicyConfig()
     if baseline_cost is None:
-        baseline_cost, _ = baseline(scenario, cfg.solver)
+        baseline_cost, _ = baseline(scenario)
     cache = cost_cache if cost_cache is not None else {}
-
-    trace = []
-    seen = set()
+    visited = set()  # the rounded taus this call sweeps
 
     def solve_one(tau):
-        val, rep = evaluate_f_tau(scenario, tau, zeta, cfg.solver, check=False)
-        return rep
+        return evaluate_f_tau(scenario, tau, zeta, check=False)[1]
 
-    def record(tau):
+    def value(tau):
         rep = cache[tau]
-        if tau not in seen:
-            seen.add(tau)
-            if rep is None:
-                trace.append((tau, -INF, INF))
-            else:
-                trace.append((tau, tau - rep.cost / zeta, rep.cost))
-
-    def f_of(tau):
-        tau = round(float(tau), 12)
-        if tau not in cache:
-            cache[tau] = solve_one(tau)
-        record(tau)
-        rep = cache[tau]
-        return (tau - rep.cost / zeta, rep) if rep is not None else (-INF, None)
-
-    def prefetch(points):
-        todo = [t for t in dict.fromkeys(round(float(t), 12) for t in points)
-                if t not in cache]
-        if threads > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for tau, rep in zip(todo, pool.map(solve_one, todo)):
-                    cache[tau] = rep
+        return -INF if rep is None else tau - rep.cost / zeta
 
     def sweep(points):
-        prefetch(points)
+        keys = [round(float(t), 12) for t in points]
+        visited.update(keys)
+        todo = [t for t in dict.fromkeys(keys) if t not in cache]
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                cache.update(zip(todo, pool.map(solve_one, todo)))
+        else:
+            cache.update(zip(todo, map(solve_one, todo)))
         best_tau, best_val = None, -INF
-        for tau in points:
-            val, _ = f_of(tau)
-            if val > best_val + 0.0:  # strict: first (smallest) tau wins ties
+        for tau, key in zip(points, keys):
+            val = value(key)
+            if val > best_val:  # strict: the first (smallest) tau wins ties
                 best_tau, best_val = tau, val
         return best_tau, best_val
 
-    mesh_points = np.arange(cfg.tau_lo, cfg.tau_hi + 0.5 * cfg.mesh, cfg.mesh)
-    incumbent, best_val = sweep(mesh_points)
-    if incumbent is None or best_val == -INF:
+    incumbent, best_val = sweep(
+        np.arange(cfg.tau_lo, cfg.tau_hi + 0.5 * cfg.mesh, cfg.mesh))
+    if incumbent is None:
         raise InfeasibleError("all mesh points infeasible")
-
-    step = cfg.mesh
-    for _ in range(cfg.refine_rounds):
-        lo = max(cfg.tau_lo, incumbent - step)
-        hi = min(cfg.tau_hi, incumbent + step)
-        step = step / 10.0
-        local = np.arange(lo, hi + 0.5 * step, step)
-        cand, cand_val = sweep(local)
-        if cand is not None and cand_val > best_val:
-            incumbent, best_val = cand, cand_val
+    step = cfg.mesh / 10.0
+    cand, cand_val = sweep(np.arange(max(cfg.tau_lo, incumbent - cfg.mesh),
+                                     min(cfg.tau_hi, incumbent + cfg.mesh) + 0.5 * step,
+                                     step))
+    if cand_val > best_val:
+        incumbent, best_val = cand, cand_val
 
     report = cache[round(incumbent, 12)]
+    trace = [(t, value(t), INF if cache[t] is None else cache[t].cost)
+             for t in sorted(visited)]
     return PolicyResult(tau_star=float(incumbent), kind="p4", cost=report.cost,
                         cost_normalized=_normalize(report.cost, baseline_cost),
-                        report=report, trace=sorted(trace), f_star=float(best_val),
-                        probes=len(seen))
+                        report=report, trace=trace, f_star=float(best_val),
+                        probes=len(trace))
 
 
 def pareto_front(scenario, cfg=None, threads=1):
@@ -208,7 +187,7 @@ def pareto_front(scenario, cfg=None, threads=1):
     grid = list(cfg.zeta_grid)
     if not grid or any(z <= 0 for z in grid) or sorted(grid) != grid:
         raise PolicyError("zeta grid must be nonempty, positive and ascending")
-    cost0, _ = baseline(scenario, cfg.solver)
+    cost0, _ = baseline(scenario)
     cache = {}
     front = []
     for zeta in grid:

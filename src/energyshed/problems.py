@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .netmodel import Scenario, validate_scenario
-from .qpcore import QuadProgram, Solution, SolverConfig, solve_qp
+from .qpcore import QuadProgram, solve_qp
 
 INF = math.inf
 
@@ -349,7 +349,7 @@ def extract_report(scenario, layout, sol, ratio_slack_tol=1e-6):
                            status=sol.status)
 
 
-def evaluate_f_tau(scenario, tau, zeta, solver_cfg=None, check=True):
+def evaluate_f_tau(scenario, tau, zeta, check=True):
     """Parametric sweep objective: tau minus scaled optimal capacity cost.
 
     Returns (value, report); value is -inf and report None when the ratio
@@ -358,7 +358,7 @@ def evaluate_f_tau(scenario, tau, zeta, solver_cfg=None, check=True):
     if zeta <= 0:
         raise BuildError("zeta must be positive")
     prog, lay = build_p1(scenario, float(tau), check=check)
-    sol = solve_qp(prog, solver_cfg or SolverConfig())
+    sol = solve_qp(prog)
     if sol.status != "optimal":
         return -INF, None
     report = extract_report(scenario, lay, sol)

@@ -18,6 +18,12 @@ low even when the slack diagonal is badly scaled).  Every program, with
 or without inequalities, goes through this one KKT path.  Infeasibility
 is certified by an explicit phase-1 elastic program rather than dual
 rays, solved once to a tight duality gap.
+
+The accuracy is fixed, not configurable: solve_qp stops at scaled
+primal, dual and gap residuals of TOL = 1e-8 within MAX_ITER = 100
+iterations; phase 1 is solved to 1e-9 (gap 1e-12) and calls a program
+feasible when its elastic optimum is at most FEAS_TOL = 1e-7 times
+1 + the largest finite right-hand side.
 """
 
 from __future__ import annotations
@@ -123,21 +129,6 @@ class QuadProgram:
 
 
 @dataclass
-class SolverConfig:
-    tol_primal: float = 1e-8
-    tol_dual: float = 1e-8
-    tol_gap: float = 1e-8
-    max_iter: int = 100
-    feas_tol: float = 1e-7
-
-    def __post_init__(self):
-        if min(self.tol_primal, self.tol_dual, self.tol_gap, self.feas_tol) <= 0:
-            raise QPError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise QPError("max_iter must be at least 1")
-
-
-@dataclass
 class Solution:
     x: np.ndarray
     duals_eq: np.ndarray
@@ -153,12 +144,18 @@ class Solution:
 # interior-point core
 # ---------------------------------------------------------------------------
 
+TOL = 1e-8       # scaled primal, dual and gap tolerance of solve_qp
+MAX_ITER = 100   # IPM iteration cap per solve
+FEAS_TOL = 1e-7  # phase-1 threshold, relative to the right-hand-side scale
 _REG = 1e-8      # static primal/dual regularization of the KKT system
 _STEP = 0.995    # fraction-to-boundary factor
 
 
-def _ipm(p, cfg):
+def _ipm(p, tol, tol_gap):
     """Infeasible-start Mehrotra predictor-corrector.
+
+    Stops when the scaled stationarity and feasibility residuals are at
+    most tol and the scaled mean complementarity at most tol_gap.
 
     Each finite bound keeps its own slack and dual, but its Newton row is
     eliminated: it adds z/(s + _REG*z) to the (1,1) diagonal and a matching
@@ -219,7 +216,7 @@ def _ipm(p, cfg):
     best = None
     converged = False
     it = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         r_d = q2 * x + c + GT @ z[:mg] + to_x(sgn * z[mg:]) + AT @ y
         r_p = A @ x - b
         r_g = rows_x(x) + s - h
@@ -232,8 +229,7 @@ def _ipm(p, cfg):
         metric = max(res_stat, res_feas, res_gap)
         if best is None or metric < best[0]:
             best = (metric, x.copy(), y.copy(), z.copy(), s.copy(), it)
-        if (res_stat <= cfg.tol_dual and res_feas <= cfg.tol_primal
-                and res_gap <= cfg.tol_gap):
+        if res_stat <= tol and res_feas <= tol and res_gap <= tol_gap:
             converged = True
             break
         # stall guard: primal infeasibility stuck well above tolerance
@@ -335,41 +331,32 @@ def _phase1_program(p):
                        G_ineq=G, h_ineq=h, lo=lo, hi=hi)
 
 
-def check_feasibility(p, cfg=None):
+def check_feasibility(p):
     """'feasible' or 'infeasible' by phase-1 elastic minimization."""
-    cfg = cfg or SolverConfig()
     if (p.lo > p.hi).any():
         return "infeasible"
-    if p.m_eq == 0 and p.m_ineq == 0:
-        return "feasible"
     scale = 1.0 + max(np.abs(p.b_eq).max(initial=0.0) if p.m_eq else 0.0,
                       np.abs(p.h_ineq[np.isfinite(p.h_ineq)]).max(initial=0.0)
                       if p.m_ineq else 0.0)
-    thr = cfg.feas_tol * scale
     # the IPM's mean-complementarity stop leaves a total duality gap of order
-    # tol_gap * m_ineq, which at the default tolerances can straddle thr on
-    # marginal problems; so the elastic LP is solved to a much tighter gap
-    tight = SolverConfig(tol_primal=min(cfg.tol_primal, 1e-9),
-                         tol_dual=min(cfg.tol_dual, 1e-9),
-                         tol_gap=min(cfg.tol_gap, 1e-12),
-                         max_iter=cfg.max_iter, feas_tol=cfg.feas_tol)
-    sol, _ = _ipm(_phase1_program(p), tight)
-    return "feasible" if sol.objective <= thr else "infeasible"
+    # tol_gap * m_ineq, which at TOL can straddle the threshold on marginal
+    # problems; so the elastic LP is solved to a much tighter gap
+    sol, _ = _ipm(_phase1_program(p), 1e-9, 1e-12)
+    return "feasible" if sol.objective <= FEAS_TOL * scale else "infeasible"
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def solve_qp(p, cfg=None):
+def solve_qp(p):
     """Solve the program; status is optimal, infeasible or max_iter."""
-    cfg = cfg or SolverConfig()
     p.validate()
-    sol, converged = _ipm(p, cfg)
+    sol, converged = _ipm(p, TOL, TOL)
     if converged:
         return sol
     # did not converge: classify via phase 1
-    if check_feasibility(p, cfg) == "infeasible":
+    if check_feasibility(p) == "infeasible":
         sol.status = "infeasible"
     return sol
 

@@ -123,6 +123,63 @@ class TestExitCodes:
         assert "non-finite profile value" in capsys.readouterr().err
         assert (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("cap_plus", {"1": None}, "cap_plus: bus 1"),
+        ("cap_plus", [1, 2], "cap_plus"),
+        ("alpha", {"1": [1, 2]}, "alpha: bus 1"),
+        ("export_limits", None, "export_limits"),
+        ("partition", [[None]], "partition: shed 0"),
+        ("step_hours", None, "step_hours"),
+        ("case_file", 5, "case_file"),
+    ], ids=["null-budget", "list-budget", "list-weight", "null-limits",
+            "null-shed-bus", "null-step-hours", "numeric-case-file"])
+    def test_malformed_scenario(self, scenario_file, tmp_path, capsys,
+                                key, value, where):
+        cfg = json.loads(open(scenario_file).read())
+        cfg[key] = value
+        bad = os.path.join(os.path.dirname(scenario_file), "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(cfg, fh)
+        assert run(["validate", "--scenario", bad], tmp_path / "o") == 2
+        assert f"error: {where}" in capsys.readouterr().err
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["exit_code"] == 2
+
+    @pytest.mark.parametrize("args", [
+        ["design-p4", "--zeta", "nan"],
+        ["design-p4", "--zeta", "inf"],
+        ["design-p4", "--zeta", "1.0", "--mesh", "nan"],
+        ["design-p2", "--epsilon", "inf"],
+        ["design-p2", "--epsilon", "0"],
+        ["analyze", "--budget-step", "0"],
+        ["analyze", "--budget-step", "nan"],
+        ["analyze", "--max-budget", "inf"],
+        ["analyze", "--max-budget", "-1"],
+    ], ids=["zeta-nan", "zeta-inf", "mesh-nan", "epsilon-inf", "epsilon-zero",
+            "budget-step-zero", "budget-step-nan", "max-budget-inf",
+            "max-budget-negative"])
+    def test_bad_numeric_flag(self, scenario_file, tmp_path, capsys, args):
+        assert run(args[:1] + ["--scenario", scenario_file] + args[1:],
+                   tmp_path / "o") == 2
+        assert args[-2].lstrip("-") in capsys.readouterr().err
+        assert (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("grid", ["5", "[null]", "[true]"],
+                             ids=["number", "null-value", "bool-value"])
+    def test_malformed_zeta_grid(self, scenario_file, tmp_path, grid):
+        path = tmp_path / "zg.json"
+        path.write_text(grid)
+        assert run(["pareto", "--scenario", scenario_file,
+                    "--zeta-grid", str(path)], tmp_path / "o") == 2
+        assert (tmp_path / "o" / "manifest.json").exists()
+
+    def test_empty_profiles(self, scenario_file, tmp_path, capsys):
+        (tmp_path / "tiny.csv").write_text("")
+        assert run(["validate", "--scenario", scenario_file],
+                   tmp_path / "o") == 2
+        assert "empty profile file" in capsys.readouterr().err
+        assert (tmp_path / "o" / "manifest.json").exists()
+
     def test_infeasible_floor(self, scenario_file, tmp_path):
         # the linear frontier for bus 1 is 0.5; a floor of 5 cannot be met
         assert run(["solve-p1", "--scenario", scenario_file,

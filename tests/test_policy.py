@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import make_line_scenario
+from energyshed import policy
 from energyshed.policy import (
     InfeasibleError,
     PolicyConfig,
     PolicyError,
+    PolicyInputError,
     baseline,
     pareto_front,
     solve_p2,
@@ -94,6 +96,15 @@ class TestBisection:
         with pytest.raises(PolicyError):
             PolicyConfig(mesh=-0.1)
 
+    @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"epsilon": math.inf},
+                                    {"mesh": math.nan}, {"mesh": math.inf},
+                                    {"tau_lo": math.nan}, {"tau_hi": math.inf}],
+                             ids=["eps-nan", "eps-inf", "mesh-nan", "mesh-inf",
+                                  "lo-nan", "hi-inf"])
+    def test_non_finite_config_rejected(self, kw):
+        with pytest.raises(PolicyInputError):
+            PolicyConfig(**kw)
+
 
 class TestBaseline:
     def test_baseline_is_cheapest(self):
@@ -118,7 +129,7 @@ class TestSweep:
         assert res.cost_normalized <= 1.0 + 1e-4
 
     def test_trace_sorted_and_complete(self):
-        cfg = PolicyConfig(mesh=0.1, refine_rounds=1)
+        cfg = PolicyConfig(mesh=0.1)
         res = solve_p4(sink_scenario(), 10.0, cfg)
         taus = [t for t, _, _ in res.trace]
         assert taus == sorted(taus)
@@ -136,6 +147,11 @@ class TestSweep:
     def test_zeta_validation(self):
         with pytest.raises(PolicyError, match="positive"):
             solve_p4(sink_scenario(), 0.0)
+
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf])
+    def test_non_finite_zeta_rejected(self, zeta):
+        with pytest.raises(PolicyInputError, match="finite"):
+            solve_p4(sink_scenario(), zeta)
 
     def test_threads_do_not_change_results(self):
         s = sink_scenario()
@@ -167,6 +183,27 @@ class TestParetoFront:
             solo = solve_p4(s, zeta, cfg)
             assert solo.tau_star == tau_star
             assert solo.cost_normalized == pytest.approx(cost_norm, rel=1e-12)
+
+    def test_each_tau_evaluated_once(self, monkeypatch):
+        # one sweep path: every distinct rounded tau of the whole front is
+        # solved exactly once, serially or on a pool
+        s = sink_scenario()
+        cfg = PolicyConfig(mesh=0.1, zeta_grid=(0.5, 50.0))
+        swept = {t for zeta in cfg.zeta_grid
+                 for t, _, _ in solve_p4(s, zeta, cfg).trace}
+        evaluate = policy.evaluate_f_tau
+        fronts = {}
+        for threads in (1, 2):
+            calls = []
+
+            def counting(scenario, tau, zeta, check=True):
+                calls.append(tau)
+                return evaluate(scenario, tau, zeta, check=check)
+
+            monkeypatch.setattr(policy, "evaluate_f_tau", counting)
+            fronts[threads] = pareto_front(s, cfg, threads=threads)
+            assert sorted(calls) == sorted(swept), threads
+        assert fronts[1] == fronts[2]
 
     def test_grid_validation(self):
         with pytest.raises(PolicyError, match="ascending"):
