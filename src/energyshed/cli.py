@@ -384,8 +384,10 @@ def build_parser():
 
     add("baseline", _cmd_baseline, "cost with no ratio requirements")
 
-    p = add("design-p2", _cmd_design_p2, "max-min ratio design by bisection")
-    p.add_argument("--epsilon", type=float, default=None)
+    p = add("design-p2", _cmd_design_p2,
+            "max-min ratio design (Dinkelbach iteration)")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="resolution of tau* (default 1e-6)")
 
     p = add("design-p4", _cmd_design_p4, "cost-aware floor design (sweep)")
     p.add_argument("--zeta", type=float, required=True,

@@ -527,6 +527,10 @@ def load_scenario(path, name=None):
         alpha=_per_bus(cfg.get("alpha"), network, "alpha"),
         beta=_per_bus(cfg.get("beta"), network, "beta"),
     )
+    flex_only = cfg.get("flex_only_at_load_buses", True)
+    if not isinstance(flex_only, bool):
+        raise ScenarioError(f"flex_only_at_load_buses: expected true or false, "
+                            f"got {flex_only!r}")
     return Scenario(
         network=network,
         time_grid=grid,
@@ -534,7 +538,7 @@ def load_scenario(path, name=None):
         budgets=budgets,
         weights=weights,
         partition=_partition(cfg["partition"]),
-        flex_only_at_load_buses=bool(cfg.get("flex_only_at_load_buses", True)),
+        flex_only_at_load_buses=flex_only,
         name=name or os.path.splitext(os.path.basename(path))[0],
     )
 
@@ -609,6 +613,9 @@ def validate_scenario(scenario):
     covered = set()
     for k, nodes in scenario.partition.sheds:
         nodes = set(nodes)
+        if not nodes:
+            rep.add("empty-shed", f"shed {k} has no buses", location=f"shed {k}")
+            continue
         unknown = nodes - set(ids)
         if unknown:
             rep.add("unknown-shed-bus", f"shed {k} references unknown buses {sorted(unknown)}",

@@ -1,9 +1,12 @@
-"""Policy-design drivers: bisection, parametric sweep, Pareto fronts.
+"""Policy-design drivers: max-min ratio design, parametric sweep, Pareto fronts.
 
-The max-min ratio design problem is quasi-convex: feasibility of the
-fixed-ratio subproblem is monotone in the floor, so bisection converges to
-the supremum of achievable floors.  The cost-aware design trades the floor
-against capacity cost and is solved by sweeping the floor over a mesh.
+The max-min ratio design problem maximizes the smallest shed ratio
+N_k(x)/D_k(x), a generalized linear-fractional program with every
+denominator D_k >= L_k > 0.  It is solved to global optimality by the
+iteration of Dinkelbach (1967) in the form of Crouzeix, Ferland & Schaible
+(1985): one always-feasible LP of P1's size per step, converging
+superlinearly.  The cost-aware design trades the floor against capacity
+cost and is solved by sweeping the floor over a mesh.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import build_p1, build_p3, evaluate_f_tau, extract_report
-from .qpcore import check_feasibility, solve_qp
+from .problems import build_p1, build_p2_step, evaluate_f_tau, extract_report, shed_terms
+# check_feasibility is unused here but stays in the namespace: the P2
+# tests and perfbench/tracing.py rebind policy.check_feasibility
+from .qpcore import FEAS_TOL, check_feasibility, solve_qp  # noqa: F401
 
 INF = math.inf
 
@@ -57,7 +62,7 @@ class PolicyResult:
     cost: float
     cost_normalized: float
     report: object
-    trace: list                # p2: (tau, feasible); p4: (tau, f_tau, cost)
+    trace: list                # p2: (tau, t >= 0) per step; p4: (tau, f_tau, cost)
     f_star: float | None = None
     probes: int = 0
 
@@ -74,32 +79,61 @@ def baseline(scenario):
 
 
 def solve_p2(scenario, cfg=None):
-    """Maximize the minimum shed ratio by bisection on the feasibility problem.
+    """Maximize the minimum shed ratio by Dinkelbach's iteration.
 
-    Runs exactly ceil(log2(bracket/epsilon)) probes, one phase-1 solve each.
-    The lower bracket end is not probed: if every probe is infeasible the
-    bracket collapses onto tau_lo, and the cost solve there is the check
-    (an infeasible one is reported as an invalid bracket).  The bracket is
-    never widened; a caller who expects tau* > 1 sets tau_hi.
+    Step j solves build_p2_step's LP at floor tau_j, starting from
+    tau_0 = tau_lo with the shed loads L_k as row scales, and moves to
+    tau_{j+1} = min_k N_k(x_j)/D_k(x_j), a floor that x_j reaches; the
+    next step scales row k by D_k(x_j).  Every step is feasible whenever
+    the physics is, so no phase-1 solve is needed.  As D_k >= L_k, the
+    optimum t_j bounds the best floor from above:
+    tau* <= tau_j + max(t_j, 0) * max_k d_prev[k] / L_k.
+
+    The answer is bisection's: tau_star is the point of the grid
+    tau_lo + i*h, h = (tau_hi - tau_lo) / 2**n, n = ceil(log2((tau_hi -
+    tau_lo) / epsilon)), at or below the last floor reached, and at most
+    tau_hi - h.  The iteration stops once that floor and the upper bound
+    share a grid cell or lie within FEAS_TOL, or once the floor reaches the
+    top cell; it runs at most n LPs.  The bracket is never widened; a
+    caller who expects tau* > 1 sets tau_hi.
     """
     cfg = cfg or PolicyConfig()
     lo, hi = cfg.tau_lo, cfg.tau_hi
     n_iter = max(1, math.ceil(math.log2((hi - lo) / cfg.epsilon)))
+    h = (hi - lo) / 2 ** n_iter
+
+    def cell(tau):
+        return min(math.floor((tau - lo) / h), 2 ** n_iter - 1)
+
+    idx = scenario.network.bus_index()
+    loads = np.array([scenario.profiles.load[[idx[b] for b in members]].sum()
+                      for _, members in scenario.partition.sheds])
+    tau, d_prev = lo, loads
     trace = []
     for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        ok = check_feasibility(build_p3(scenario, mid, check=False)) == "feasible"
-        trace.append((mid, ok))
-        if ok:
-            lo = mid
-        else:
-            hi = mid
+        prog, lay = build_p2_step(scenario, tau, d_prev)
+        sol = solve_qp(prog)
+        if sol.status == "infeasible":
+            raise InfeasibleError(f"infeasible at tau_lo = {lo}: bracket invalid")
+        if sol.status != "optimal":
+            raise PolicyError(f"P2 step at tau = {tau} failed: status {sol.status}")
+        t = float(sol.x[-1])
+        if not trace and t < -FEAS_TOL:
+            raise InfeasibleError(f"infeasible at tau_lo = {lo}: bracket invalid")
+        trace.append((tau, t >= 0))
+        ub = tau + max(t, 0.0) * float(np.max(d_prev / loads))
+        num, d_prev = shed_terms(scenario, lay, sol.x)
+        tau = float(np.min(num / d_prev))
+        if tau >= hi - h or cell(tau) == cell(ub) or ub - tau <= FEAS_TOL:
+            break
+    else:
+        raise PolicyError(f"P2 iteration did not converge in {n_iter} LPs")
 
-    tau_star = lo
+    tau_star = lo + h * max(cell(tau), 0)
     prog, lay = build_p1(scenario, tau_star, check=False)
     sol = solve_qp(prog)
     if sol.status == "infeasible":
-        if tau_star == cfg.tau_lo:  # every probe was infeasible
+        if tau_star == cfg.tau_lo:  # t_0 may lie within FEAS_TOL below 0
             raise InfeasibleError(f"infeasible at tau_lo = {tau_star}: bracket invalid")
         raise InfeasibleError(f"cost solve at tau* = {tau_star} infeasible")
     if sol.status != "optimal":

@@ -264,6 +264,50 @@ def build_p3(scenario, tau, check=True):
     return prog
 
 
+def build_p2_step(scenario, tau, d_prev):
+    """One step of P2's fractional-programming iteration; (program, layout).
+
+    The LP  max t  s.t.  (N_k(x) - tau * D_k(x)) / d_prev[k] >= t  for every
+    shed k (N_k, D_k as in shed_terms, d_prev > 0), plus the other
+    constraints of P3 at floor tau.  t is a free variable appended after
+    the layout's variables, so the LP is feasible whenever the physics is.
+    """
+    prog, lay = build_p1(scenario, float(tau), check=False)
+    k = len(scenario.partition.sheds)
+    m = prog.m_ineq
+    # the ratio rows are the last k rows of G (build_p1 adds them last)
+    scale = np.ones(m)
+    scale[m - k:] = 1.0 / np.asarray(d_prev, dtype=float)
+    t_col = np.zeros((m, 1))
+    t_col[m - k:] = 1.0
+    G = sp.hstack([sp.diags(scale) @ prog.G_ineq, t_col], format="csr")
+    A = sp.hstack([prog.A_eq, sp.csr_matrix((prog.m_eq, 1))], format="csr")
+    n = prog.n + 1
+    c = np.zeros(n)
+    c[-1] = -1.0
+    step = QuadProgram(n=n, q_diag=np.zeros(n), c_lin=c, A_eq=A, b_eq=prog.b_eq,
+                       G_ineq=G, h_ineq=scale * prog.h_ineq,
+                       lo=np.append(prog.lo, -INF), hi=np.append(prog.hi, INF))
+    return step, lay
+
+
+def shed_terms(scenario, layout, x):
+    """Per-shed (N, D): generation and demand with flexibility at x.
+
+    N_k = sum G + sum S+ and D_k = sum L + sum S- over shed k's buses and
+    all steps, in partition order; the shed ratio is N_k / D_k.
+    """
+    idx = scenario.network.bus_index()
+    dec = layout.decode(x)
+    gen, load = scenario.profiles.gen, scenario.profiles.load
+    num, den = [], []
+    for _, members in scenario.partition.sheds:
+        rows = [idx[b] for b in members]
+        num.append(float(gen[rows].sum() + dec["sp"][rows].sum()))
+        den.append(float(load[rows].sum() + dec["sm"][rows].sum()))
+    return np.array(num), np.array(den)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -311,16 +355,14 @@ def extract_report(scenario, layout, sol, ratio_slack_tol=1e-6):
     if sol.status != "optimal":
         raise BuildError(f"cannot report on a solution with status {sol.status!r}")
     net = scenario.network
-    idx = net.bus_index()
     dec = layout.decode(sol.x)
     gen, load = scenario.profiles.gen, scenario.profiles.load
 
     shed_ratios = {}
-    for (k, members), tau in zip(scenario.partition.sheds, layout.x_min):
-        rows = [idx[b] for b in members]
-        num = float(gen[rows].sum() + dec["sp"][rows].sum())
-        den = float(load[rows].sum() + dec["sm"][rows].sum())
-        ratio = num / den
+    num, den = shed_terms(scenario, layout, sol.x)
+    for (k, _), tau, n_k, d_k in zip(scenario.partition.sheds, layout.x_min,
+                                     num.tolist(), den.tolist()):
+        ratio = n_k / d_k
         if ratio < tau - ratio_slack_tol * (1.0 + tau):
             raise BuildError(f"shed {k} ratio {ratio} violates floor {tau}")
         shed_ratios[k] = ratio

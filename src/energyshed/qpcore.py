@@ -28,7 +28,6 @@ feasible when its elastic optimum is at most FEAS_TOL = 1e-7 times
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -54,7 +53,6 @@ class QuadProgram:
     h_ineq: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
-    names: list[str] | None = None
 
     def __post_init__(self):
         self.q_diag = np.asarray(self.q_diag, dtype=float)
@@ -120,12 +118,7 @@ class QuadProgram:
             "G_ineq": mat(self.G_ineq),
             "h_ineq": None if self.h_ineq is None else self.h_ineq.tolist(),
             "lo": vec(self.lo), "hi": vec(self.hi),
-            "names": self.names,
         }
-
-    def dump_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
 
 
 @dataclass

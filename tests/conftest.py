@@ -82,3 +82,43 @@ def make_line_scenario(gen, load, cap_plus, cap_minus, *, alpha=None,
         flex_only_at_load_buses=not flex_everywhere,
         name="test",
     )
+
+
+def single_shed_scenario(rng, limited):
+    """Chain scenario: one load shed at bus 1, slack flex at bus 3.
+
+    Returns (scenario, closed-form tau*), with the frontier strictly
+    inside (0, 1) so the default P2 bracket applies.
+    """
+    steps = int(rng.integers(2, 5))
+    load = rng.uniform(0.5, 2.0, steps)
+    gen = rng.uniform(0.0, 0.8, steps) * load
+    cap = rng.uniform(0.05, 0.9, steps) * (load - gen)
+    n = 3
+    big_l = np.zeros((n, steps))
+    big_g = np.zeros((n, steps))
+    big_l[0] = load
+    big_g[0] = gen
+    cp = np.zeros((n, steps))
+    cp[0] = cap
+    cp[2] = 10.0
+    cm = np.zeros((n, steps))
+    cm[2] = 10.0
+    export_upper = None
+    if limited:
+        cm[0] = 10.0
+        pbar = rng.uniform(0.0, 1.0, steps) * cap
+        deficit = float((load - gen).sum())
+        if pbar.sum() < deficit:
+            pbar = pbar + (deficit - pbar.sum() + 0.05) / steps
+        # net-injection bound encoding the flex-export limit S+ - S- <= pbar
+        export_upper = np.full((n, steps), np.inf)
+        export_upper[0] = pbar + gen - load
+        expected = ((gen.sum() + cap.sum())
+                    / (load.sum() + np.maximum(cap - pbar, 0.0).sum()))
+    else:
+        expected = (gen.sum() + cap.sum()) / load.sum()
+    scen = make_line_scenario(big_g, big_l, cap_plus=cp, cap_minus=cm,
+                              export_upper=export_upper,
+                              partition=[(0, (1,))], flex_everywhere=True)
+    return scen, float(expected)

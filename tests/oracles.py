@@ -1,13 +1,20 @@
-"""Independent brute-force references used to pin down expected values.
+"""Independent references used to pin down expected values.
 
-These deliberately avoid the library's formulas and solvers: the ratio
-oracle enumerates candidate dispatch vertices, and the dispatch oracle
-searches a dense grid after eliminating the power-balance equalities.
+The brute-force oracles deliberately avoid the library's formulas and
+solvers: the ratio oracle enumerates candidate dispatch vertices, and the
+dispatch oracle searches a dense grid after eliminating the power-balance
+equalities.  The P2 oracle is bisection on the feasibility problem P3,
+the algorithm that solve_p2 replaced.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from energyshed.policy import PolicyConfig
+from energyshed.problems import build_p3
+from energyshed.qpcore import check_feasibility
 
 
 def best_ratio_series(gen, load, cap_plus, export_limit=None):
@@ -105,3 +112,25 @@ def grid_minimize(objective, boxes, resolution):
         if val < best_val:
             best_val, best_pt = val, np.asarray(pt)
     return best_val, best_pt
+
+
+def bisection_p2(scenario, cfg=None):
+    """(tau*, trace) of P2 by bisection, one phase-1 solve per probe.
+
+    Runs exactly ceil(log2(bracket/epsilon)) probes at the bracket
+    midpoints; the lower bracket end is not probed, so if every probe is
+    infeasible tau* is tau_lo.  trace lists (tau, feasible) per probe.
+    """
+    cfg = cfg or PolicyConfig()
+    lo, hi = cfg.tau_lo, cfg.tau_hi
+    n_iter = max(1, math.ceil(math.log2((hi - lo) / cfg.epsilon)))
+    trace = []
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        ok = check_feasibility(build_p3(scenario, mid, check=False)) == "feasible"
+        trace.append((mid, ok))
+        if ok:
+            lo = mid
+        else:
+            hi = mid
+    return lo, trace

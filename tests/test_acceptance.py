@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import data_path, make_line_scenario
+from conftest import data_path, make_line_scenario, single_shed_scenario
 from oracles import best_ratio_series, grid_minimize
 
 from energyshed.analytic import (
@@ -65,46 +65,6 @@ def _random_community(rng, limited):
     if limit.sum() < deficit:
         limit = limit + (deficit - limit.sum() + 0.05) / steps
     return CommunitySeries(gen, load, cap, limit)
-
-
-def _single_shed_scenario(rng, limited):
-    """Chain scenario: one load shed at bus 1, slack flex at bus 3.
-
-    Returns (scenario, closed-form tau*), with the frontier strictly
-    inside (0, 1) so the default bisection bracket applies.
-    """
-    steps = int(rng.integers(2, 5))
-    load = rng.uniform(0.5, 2.0, steps)
-    gen = rng.uniform(0.0, 0.8, steps) * load
-    cap = rng.uniform(0.05, 0.9, steps) * (load - gen)
-    n = 3
-    big_l = np.zeros((n, steps))
-    big_g = np.zeros((n, steps))
-    big_l[0] = load
-    big_g[0] = gen
-    cp = np.zeros((n, steps))
-    cp[0] = cap
-    cp[2] = 10.0
-    cm = np.zeros((n, steps))
-    cm[2] = 10.0
-    export_upper = None
-    if limited:
-        cm[0] = 10.0
-        pbar = rng.uniform(0.0, 1.0, steps) * cap
-        deficit = float((load - gen).sum())
-        if pbar.sum() < deficit:
-            pbar = pbar + (deficit - pbar.sum() + 0.05) / steps
-        # net-injection bound encoding the flex-export limit S+ - S- <= pbar
-        export_upper = np.full((n, steps), np.inf)
-        export_upper[0] = pbar + gen - load
-        expected = ((gen.sum() + cap.sum())
-                    / (load.sum() + np.maximum(cap - pbar, 0.0).sum()))
-    else:
-        expected = (gen.sum() + cap.sum()) / load.sum()
-    scen = make_line_scenario(big_g, big_l, cap_plus=cp, cap_minus=cm,
-                              export_upper=export_upper,
-                              partition=[(0, (1,))], flex_everywhere=True)
-    return scen, float(expected)
 
 
 def _p1_instance(rng, with_floor):
@@ -188,20 +148,20 @@ def test_criterion_2_closed_form_vs_optimizer(capsys):
     t0 = time.monotonic()
     worst = 0.0
     for k in range(22):
-        scen, expected = _single_shed_scenario(rng, limited=k % 2 == 1)
+        scen, expected = single_shed_scenario(rng, limited=k % 2 == 1)
         res = solve_p2(scen)
         _TRACES.append((f"criterion2-{k}", res.trace))
         worst = max(worst, abs(res.tau_star - expected))
     elapsed = time.monotonic() - t0
     _verdict(capsys, 2,
-             f"bisection tau* vs closed forms on 22 scenarios "
+             f"Dinkelbach tau* vs closed forms on 22 scenarios "
              f"(max err {worst:.1e}, {elapsed:.1f}s)",
              worst <= 1e-5 and elapsed < 60.0)
 
 
 def test_criterion_3_bisection_budget(capsys):
     rng = np.random.default_rng(37)
-    scen, _ = _single_shed_scenario(rng, limited=False)
+    scen, _ = single_shed_scenario(rng, limited=False)
     res = solve_p2(scen)  # default config: epsilon 1e-6 on [0, 1]
     _TRACES.append(("criterion3", res.trace))
     eps = 1e-6
@@ -300,7 +260,7 @@ def test_criterion_8_p4_limits(capsys, scenario_medium):
     p2 = solve_p2(scenario_medium)
     gap = abs(hi.tau_star - p2.tau_star)
     _verdict(capsys, 8,
-             f"zeta=1e9 tau* gap to bisection {gap:.4f} <= 0.01, "
+             f"zeta=1e9 tau* gap to P2 {gap:.4f} <= 0.01, "
              f"zeta=1e-9 normalized cost {lo.cost_normalized:.6f} <= 1+1e-4",
              gap <= 0.01 + 1e-9 and lo.cost_normalized <= 1.0 + 1e-4)
 

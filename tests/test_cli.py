@@ -131,8 +131,12 @@ class TestExitCodes:
         ("partition", [[None]], "partition: shed 0"),
         ("step_hours", None, "step_hours"),
         ("case_file", 5, "case_file"),
+        ("flex_only_at_load_buses", "no", "flex_only_at_load_buses"),
+        ("flex_only_at_load_buses", 1, "flex_only_at_load_buses"),
+        ("flex_only_at_load_buses", None, "flex_only_at_load_buses"),
     ], ids=["null-budget", "list-budget", "list-weight", "null-limits",
-            "null-shed-bus", "null-step-hours", "numeric-case-file"])
+            "null-shed-bus", "null-step-hours", "numeric-case-file",
+            "string-flex-flag", "int-flex-flag", "null-flex-flag"])
     def test_malformed_scenario(self, scenario_file, tmp_path, capsys,
                                 key, value, where):
         cfg = json.loads(open(scenario_file).read())
@@ -144,6 +148,19 @@ class TestExitCodes:
         assert f"error: {where}" in capsys.readouterr().err
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["exit_code"] == 2
+
+    def test_empty_shed(self, scenario_file, tmp_path, capsys):
+        cfg = json.loads(open(scenario_file).read())
+        cfg["partition"] = [[]]
+        bad = os.path.join(os.path.dirname(scenario_file), "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(cfg, fh)
+        assert run(["validate", "--scenario", bad], tmp_path / "o") == 2
+        assert "empty-shed" in capsys.readouterr().err
+        doc = json.loads((tmp_path / "o" / "validation.json").read_text())
+        assert {"code": "empty-shed", "message": "shed 0 has no buses",
+                "location": "shed 0"} in doc["violations"]
+        assert (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("args", [
         ["design-p4", "--zeta", "nan"],

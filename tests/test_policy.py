@@ -1,12 +1,15 @@
-"""Bisection, sweep and Pareto-front behavior on small analyzable systems."""
+"""P2 design, sweep and Pareto-front behavior on small analyzable systems."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_line_scenario
-from energyshed import policy
+from conftest import make_line_scenario, single_shed_scenario
+from energyshed import policy, qpcore
 from energyshed.policy import (
     InfeasibleError,
     PolicyConfig,
@@ -19,6 +22,7 @@ from energyshed.policy import (
 )
 from energyshed.problems import build_p3
 from energyshed.qpcore import check_feasibility
+from oracles import bisection_p2
 
 
 def sink_scenario(cap1=0.3, alpha=None):
@@ -48,7 +52,7 @@ class TestBisection:
     def test_probe_budget(self):
         res = solve_p2(sink_scenario(), PolicyConfig(epsilon=1e-6))
         assert res.probes <= 20
-        assert res.probes == math.ceil(math.log2(1.0 / 1e-6))
+        assert res.probes <= 3
 
     def test_trace_is_monotone(self):
         res = solve_p2(sink_scenario())
@@ -104,6 +108,124 @@ class TestBisection:
     def test_non_finite_config_rejected(self, kw):
         with pytest.raises(PolicyInputError):
             PolicyConfig(**kw)
+
+
+def with_cap_cut(scenario, shed_index, factor):
+    """scenario with cap_plus scaled by factor on one shed's buses."""
+    idx = scenario.network.bus_index()
+    rows = [idx[b] for b in scenario.partition.sheds[shed_index][1]]
+    cap_plus = scenario.budgets.cap_plus.copy()
+    cap_plus[rows] *= factor
+    return dataclasses.replace(
+        scenario, budgets=dataclasses.replace(scenario.budgets, cap_plus=cap_plus))
+
+
+class StepRecorder:
+    """Records every P2 step LP as (tau, d_prev, t) through monkeypatch."""
+
+    def __init__(self, monkeypatch):
+        self.steps = []
+        self._pending = {}
+        build, solve = policy.build_p2_step, policy.solve_qp
+
+        def build_step(scenario, tau, d_prev):
+            prog, lay = build(scenario, tau, d_prev)
+            self._pending[id(prog)] = (tau, np.array(d_prev))
+            return prog, lay
+
+        def solve_qp(prog):
+            sol = solve(prog)
+            if id(prog) in self._pending:
+                tau, d_prev = self._pending.pop(id(prog))
+                self.steps.append((tau, d_prev, float(sol.x[-1])))
+            return sol
+
+        monkeypatch.setattr(policy, "build_p2_step", build_step)
+        monkeypatch.setattr(policy, "solve_qp", solve_qp)
+
+    def upper_bounds(self, loads):
+        """tau_j + max(t_j, 0) * max_k d_prev[k] / L_k for every step."""
+        return [tau + max(t, 0.0) * float(np.max(d_prev / loads))
+                for tau, d_prev, t in self.steps]
+
+
+def shed_loads(scenario):
+    idx = scenario.network.bus_index()
+    return np.array([scenario.profiles.load[[idx[b] for b in members]].sum()
+                     for _, members in scenario.partition.sheds])
+
+
+class TestAgainstBisection:
+    """solve_p2 against bisection (tests/oracles.py), the algorithm it replaced."""
+
+    @pytest.mark.parametrize("cut", [None, (0, 0.2), (7, 0.15)],
+                             ids=["medium", "shed0-x0.2", "shed7-x0.15"])
+    def test_medium_variants(self, scenario_medium, monkeypatch, cut):
+        s = scenario_medium if cut is None else with_cap_cut(scenario_medium, *cut)
+        cfg = PolicyConfig(epsilon=1e-3)
+        oracle, _ = bisection_p2(s, cfg)
+        rec = StepRecorder(monkeypatch)
+        res = solve_p2(s, cfg)
+        assert res.tau_star == oracle
+        assert res.probes == len(rec.steps) <= 3
+        # every step's bound is a certificate: it never cuts below tau*
+        assert min(rec.upper_bounds(shed_loads(s))) >= oracle - cfg.epsilon
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), limited=st.booleans())
+    def test_line_cases(self, seed, limited):
+        s, _ = single_shed_scenario(np.random.default_rng(seed), limited)
+        cfg = PolicyConfig(epsilon=1e-6)
+        oracle, _ = bisection_p2(s, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            rec = StepRecorder(mp)
+            res = solve_p2(s, cfg)
+        assert abs(res.tau_star - oracle) <= cfg.epsilon
+        assert min(rec.upper_bounds(shed_loads(s))) >= oracle - cfg.epsilon
+
+    def test_no_phase1_solves(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return check_feasibility(p)
+
+        monkeypatch.setattr(policy, "check_feasibility", counting)
+        monkeypatch.setattr(qpcore, "check_feasibility", counting)
+        res = solve_p2(sink_scenario(), PolicyConfig(epsilon=1e-6))
+        assert res.tau_star == pytest.approx(0.5, abs=2e-6)
+        assert calls == []
+
+    def test_infeasible_tau_lo(self):
+        # tau* = 0.5 lies below the bracket
+        with pytest.raises(InfeasibleError, match="tau_lo"):
+            solve_p2(sink_scenario(), PolicyConfig(tau_lo=0.6))
+
+    def test_budget_exhausted_is_solver_failure(self, monkeypatch):
+        # a floor that never rises cannot meet the upper bound
+        terms = policy.shed_terms
+
+        def stuck(scenario, layout, x):
+            num, den = terms(scenario, layout, x)
+            return 0.0 * num, den
+
+        monkeypatch.setattr(policy, "shed_terms", stuck)
+        with pytest.raises(PolicyError, match="2 LPs") as exc:
+            solve_p2(sink_scenario(), PolicyConfig(epsilon=0.25))
+        assert not isinstance(exc.value, InfeasibleError)
+
+    def test_step_not_converged_is_solver_failure(self, monkeypatch):
+        solve = policy.solve_qp
+
+        def capped(prog):
+            sol = solve(prog)
+            sol.status = "max_iter"
+            return sol
+
+        monkeypatch.setattr(policy, "solve_qp", capped)
+        with pytest.raises(PolicyError, match="max_iter") as exc:
+            solve_p2(sink_scenario())
+        assert not isinstance(exc.value, InfeasibleError)
 
 
 class TestBaseline:

@@ -9,11 +9,13 @@ from energyshed.problems import (
     BuildError,
     VariableLayout,
     build_p1,
+    build_p2_step,
     build_p3,
     evaluate_f_tau,
     extract_report,
     flow_law_residual,
     power_balance_residual,
+    shed_terms,
 )
 from energyshed.qpcore import check_feasibility, solve_qp
 
@@ -149,6 +151,50 @@ class TestFeasibilityForm:
         bound = baseline_ratio(s, 0) + cap[2].sum() / load[2].sum()
         assert check_feasibility(build_p3(s, bound - 1e-6)) == "feasible"
         assert check_feasibility(build_p3(s, bound + 1e-4)) == "infeasible"
+
+
+class TestP2Step:
+    def test_rows_are_p3_scaled_plus_t(self):
+        s = chain_scenario(partition=[(0, (1, 2)), (1, (3,))])
+        d_prev = np.array([2.0, 4.0])
+        p3 = build_p3(s, 0.4, check=False)
+        step, lay = build_p2_step(s, 0.4, d_prev)
+        k = len(d_prev)
+        assert step.n == p3.n + 1 == lay.n_vars + 1
+        assert not step.q_diag.any()
+        assert step.c_lin.tolist() == [0.0] * p3.n + [-1.0]
+        assert step.lo[-1] == -np.inf and step.hi[-1] == np.inf
+        G, G3 = step.G_ineq.toarray(), p3.G_ineq.toarray()
+        assert (G[:-k, :-1] == G3[:-k]).all() and not G[:-k, -1].any()
+        assert np.allclose(G[-k:, :-1], G3[-k:] / d_prev[:, None], rtol=1e-15)
+        assert G[-k:, -1].tolist() == [1.0] * k
+        assert np.allclose(step.h_ineq[-k:], p3.h_ineq[-k:] / d_prev, rtol=1e-15)
+        assert (step.A_eq.toarray()[:, :-1] == p3.A_eq.toarray()).all()
+
+    def test_step_optimum_on_single_bus_shed(self):
+        # bus 1: N = 0.4 + sum S+ <= 1.0, D = 2 (no absorption budget), so
+        # max t = (1.0 - 0.3 * 2) / 4 with the row scaled by d_prev = 4
+        gen = np.array([[0.2, 0.2], [0.0, 0.0], [0.0, 0.0]])
+        load = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        cap_plus = np.array([[0.3, 0.3], [0.0, 0.0], [10.0, 10.0]])
+        cap_minus = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0]])
+        s = make_line_scenario(gen, load, cap_plus=cap_plus, cap_minus=cap_minus,
+                               partition=[(0, (1,))], flex_everywhere=True)
+        prog, lay = build_p2_step(s, 0.3, [4.0])
+        sol = solve_qp(prog)
+        assert sol.status == "optimal"
+        assert sol.x[-1] == pytest.approx(0.1, abs=1e-6)
+        num, den = shed_terms(s, lay, sol.x)
+        assert num == pytest.approx([1.0], abs=1e-6)
+        assert den.tolist() == pytest.approx([2.0], abs=1e-9)
+
+    def test_shed_terms_match_report(self):
+        s = chain_scenario(partition=[(0, (1, 2)), (1, (3,))])
+        prog, lay = build_p1(s, 0.3)
+        sol = solve_qp(prog)
+        report = extract_report(s, lay, sol)
+        num, den = shed_terms(s, lay, sol.x)
+        assert report.shed_ratios == {0: num[0] / den[0], 1: num[1] / den[1]}
 
 
 class TestSweepObjective:
