@@ -6,21 +6,27 @@ denominator D_k >= L_k > 0.  It is solved to global optimality by the
 iteration of Dinkelbach (1967) in the form of Crouzeix, Ferland & Schaible
 (1985): one always-feasible LP of P1's size per step, converging
 superlinearly.  The cost-aware design trades the floor against capacity
-cost and is solved by sweeping the floor over a mesh.
+cost and is solved over a mesh of floors; as the cost is nondecreasing in
+the floor, each solved floor bounds the ones above it, and most mesh
+points are pruned without a solve.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from .problems import build_p1, build_p2_step, evaluate_f_tau, extract_report, shed_terms
 # check_feasibility is unused here but stays in the namespace: the P2
 # tests and perfbench/tracing.py rebind policy.check_feasibility
-from .qpcore import FEAS_TOL, check_feasibility, solve_qp  # noqa: F401
+from .qpcore import FEAS_TOL, TOL, check_feasibility, solve_qp  # noqa: F401
 
 INF = math.inf
 
@@ -149,62 +155,111 @@ def _normalize(cost, cost0):
     return cost / cost0 if cost0 > 0 else (1.0 if cost <= 0 else INF)
 
 
+class _Floor(NamedTuple):
+    """One solved floor of the P4 cost cache."""
+    status: str      # solve_qp's: optimal | infeasible | max_iter
+    report: object   # OperationReport when optimal, else None
+    lower: float     # certified lower bound on cost(tau); -inf unless optimal
+
+
+def _solved(report, status):
+    if report is None:
+        return _Floor(status, None, -INF)
+    # the primal objective overshoots the optimum by at most the duality
+    # gap; TOL * (1 + |cost|) covers the residuals the gap does not see
+    return _Floor(status, report,
+                  report.cost - report.gap - TOL * (1.0 + abs(report.cost)))
+
+
+def _grid(lo, hi, step):
+    """lo, lo + step, ... up to hi, or past it by no more than rounding."""
+    pts = np.arange(lo, hi + 0.5 * step, step)
+    return pts[pts <= hi + 1e-9 * step]
+
+
 def solve_p4(scenario, zeta, cfg=None, baseline_cost=None,
              cost_cache=None, threads=1):
-    """Sweep the ratio floor over a mesh and maximize tau - cost/zeta.
+    """Maximize f(tau) = tau - cost(tau)/zeta over a mesh of floors.
 
-    Ties break toward the smaller (less restrictive) floor.  One local
-    refinement sweep shrinks the mesh tenfold around the incumbent.  Each
-    sweep first solves its uncached points (concurrently with threads > 1),
-    then reads the incumbent and the trace from the cost cache.  The
-    per-floor cost solve does not depend on zeta, so an external cost_cache
-    ({round(tau, 12): report-or-None}) may be shared across calls.
+    The answer is that of a full sweep: the best mesh point of
+    [tau_lo, tau_hi] (ties to the smaller floor), then the best point of
+    one tenfold-finer sweep within a mesh step of it, taken if strictly
+    better.  Each sweep solves only the points it cannot rule out.
+
+    Since every shed denominator D_k >= L_k > 0, the feasible sets are
+    nested in tau: cost(tau) is nondecreasing, and a floor above an
+    infeasible one is infeasible.  So a solved floor tau_a bounds every
+    tau >= tau_a: f(tau) <= tau - lower_a/zeta, lower_a being cost(tau_a)
+    minus the solve's duality gap and a residual slack, and f(tau) = -inf
+    if tau_a is infeasible (a max_iter floor bounds nothing).  A point
+    whose bound is below the sweep's incumbent, strictly, or is -inf, is
+    pruned.  Each round splits the surviving points into runs between
+    solved floors and solves the middle point of every run as one batch
+    (concurrently with threads > 1; the batches do not depend on threads).
+
+    The trace lists the swept floors that were solved.  The cost solves do
+    not depend on zeta, so an external cost_cache ({round(tau, 12):
+    _Floor(status, report, lower)}) may be shared across calls; the
+    baseline, when this call solves it, enters it as the floor 0.0.
     """
     if not 0 < zeta < INF:
         raise PolicyInputError("zeta must be positive and finite")
     cfg = cfg or PolicyConfig()
-    if baseline_cost is None:
-        baseline_cost, _ = baseline(scenario)
     cache = cost_cache if cost_cache is not None else {}
+    if baseline_cost is None:
+        baseline_cost, report0 = baseline(scenario)
+        cache.setdefault(0.0, _solved(report0, "optimal"))
     visited = set()  # the rounded taus this call sweeps
 
     def solve_one(tau):
-        return evaluate_f_tau(scenario, tau, zeta, check=False)[1]
+        return _solved(*evaluate_f_tau(scenario, tau, zeta, check=False)[1:])
 
     def value(tau):
-        rep = cache[tau]
+        rep = cache[tau].report
         return -INF if rep is None else tau - rep.cost / zeta
 
-    def sweep(points):
+    def bound(tau):
+        below = [f for k, f in cache.items() if k <= tau]
+        if any(f.status == "infeasible" for f in below):
+            return -INF
+        return tau - max((f.lower for f in below), default=-INF) / zeta
+
+    def sweep(points, solve_all, floor_val=-INF):
         keys = [round(float(t), 12) for t in points]
         visited.update(keys)
-        todo = [t for t in dict.fromkeys(keys) if t not in cache]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                cache.update(zip(todo, pool.map(solve_one, todo)))
-        else:
-            cache.update(zip(todo, map(solve_one, todo)))
+        todo = sorted(set(keys))
+        while True:
+            best = max([floor_val] + [value(k) for k in keys if k in cache])
+            # drop the solved points and those bounded below the incumbent
+            todo = [t for t in todo if t not in cache and -INF < bound(t) >= best]
+            if not todo:
+                break
+            solved = sorted(cache)
+            runs = [list(run) for _, run in groupby(todo, lambda t: bisect(solved, t))]
+            batch = [run[len(run) // 2] for run in runs]
+            cache.update(zip(batch, solve_all(solve_one, batch)))
         best_tau, best_val = None, -INF
         for tau, key in zip(points, keys):
-            val = value(key)
+            val = value(key) if key in cache else -INF
             if val > best_val:  # strict: the first (smallest) tau wins ties
                 best_tau, best_val = tau, val
         return best_tau, best_val
 
-    incumbent, best_val = sweep(
-        np.arange(cfg.tau_lo, cfg.tau_hi + 0.5 * cfg.mesh, cfg.mesh))
-    if incumbent is None:
-        raise InfeasibleError("all mesh points infeasible")
-    step = cfg.mesh / 10.0
-    cand, cand_val = sweep(np.arange(max(cfg.tau_lo, incumbent - cfg.mesh),
-                                     min(cfg.tau_hi, incumbent + cfg.mesh) + 0.5 * step,
-                                     step))
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        solve_all = pool.map if pool else map
+        incumbent, best_val = sweep(_grid(cfg.tau_lo, cfg.tau_hi, cfg.mesh), solve_all)
+        if incumbent is None:
+            raise InfeasibleError("all mesh points infeasible")
+        step = cfg.mesh / 10.0
+        cand, cand_val = sweep(_grid(max(cfg.tau_lo, incumbent - cfg.mesh),
+                                     min(cfg.tau_hi, incumbent + cfg.mesh), step),
+                               solve_all, best_val)
     if cand_val > best_val:
         incumbent, best_val = cand, cand_val
 
-    report = cache[round(incumbent, 12)]
-    trace = [(t, value(t), INF if cache[t] is None else cache[t].cost)
-             for t in sorted(visited)]
+    report = cache[round(incumbent, 12)].report
+    trace = [(t, value(t), INF if cache[t].report is None else cache[t].report.cost)
+             for t in sorted(visited) if t in cache]
     return PolicyResult(tau_star=float(incumbent), kind="p4", cost=report.cost,
                         cost_normalized=_normalize(report.cost, baseline_cost),
                         report=report, trace=trace, f_star=float(best_val),
@@ -214,15 +269,16 @@ def solve_p4(scenario, zeta, cfg=None, baseline_cost=None,
 def pareto_front(scenario, cfg=None, threads=1):
     """(zeta, tau*, cost_normalized) along the configured zeta grid.
 
-    The per-floor cost solves are shared across the grid, so the front
-    costs little more than a single sweep.
+    One cost cache, anchored by the baseline at floor 0, serves the whole
+    grid: a floor solved for one zeta is reused, and bounds the floors
+    above it, for every other zeta.
     """
     cfg = cfg or PolicyConfig()
     grid = list(cfg.zeta_grid)
     if not grid or any(z <= 0 for z in grid) or sorted(grid) != grid:
-        raise PolicyError("zeta grid must be nonempty, positive and ascending")
-    cost0, _ = baseline(scenario)
-    cache = {}
+        raise PolicyInputError("zeta grid must be nonempty, positive and ascending")
+    cost0, report0 = baseline(scenario)
+    cache = {0.0: _solved(report0, "optimal")}
     front = []
     for zeta in grid:
         res = solve_p4(scenario, zeta, cfg, baseline_cost=cost0,

@@ -321,6 +321,7 @@ class OperationReport:
     branch_peak_util: list     # (from, to, peak |flow| / limit)
     cost: float
     status: str
+    gap: float                 # the solve's duality gap; in no output file
 
     def min_ratio(self):
         return min(self.shed_ratios.values())
@@ -388,23 +389,23 @@ def extract_report(scenario, layout, sol, ratio_slack_tol=1e-6):
     return OperationReport(shed_ratios=shed_ratios, bus_ratios=bus_ratios,
                            cap_plus=cap_plus, cap_minus=cap_minus,
                            branch_peak_util=util, cost=sol.objective,
-                           status=sol.status)
+                           status=sol.status, gap=sol.gap)
 
 
 def evaluate_f_tau(scenario, tau, zeta, check=True):
     """Parametric sweep objective: tau minus scaled optimal capacity cost.
 
-    Returns (value, report); value is -inf and report None when the ratio
-    floor tau is infeasible.
+    Returns (value, report, status), status being solve_qp's; value is
+    -inf and report None unless the solve is optimal.
     """
     if zeta <= 0:
         raise BuildError("zeta must be positive")
     prog, lay = build_p1(scenario, float(tau), check=check)
     sol = solve_qp(prog)
     if sol.status != "optimal":
-        return -INF, None
+        return -INF, None, sol.status
     report = extract_report(scenario, lay, sol)
-    return float(tau) - sol.objective / zeta, report
+    return float(tau) - sol.objective / zeta, report, sol.status
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,9 @@ class Solution:
     iterations: int
     duals_lo: np.ndarray = field(default=None, repr=False)
     duals_hi: np.ndarray = field(default=None, repr=False)
+    # s'z at the returned iterate: the duality gap.  With zero residuals
+    # the optimum lies in [objective - gap, objective].
+    gap: float = math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,8 @@ def _ipm(p, tol, tol_gap):
     duals_lo[lo_idx] = z[mg + hi_idx.size:]
     sol = Solution(x=x, duals_eq=y, duals_ineq=z[:mg].copy(),
                    objective=p.objective(x), status="optimal" if converged else "max_iter",
-                   iterations=it, duals_lo=duals_lo, duals_hi=duals_hi)
+                   iterations=it, duals_lo=duals_lo, duals_hi=duals_hi,
+                   gap=float(s @ z))
     return sol, converged
 
 

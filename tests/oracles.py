@@ -4,16 +4,18 @@ The brute-force oracles deliberately avoid the library's formulas and
 solvers: the ratio oracle enumerates candidate dispatch vertices, and the
 dispatch oracle searches a dense grid after eliminating the power-balance
 equalities.  The P2 oracle is bisection on the feasibility problem P3,
-the algorithm that solve_p2 replaced.
+the algorithm that solve_p2 replaced; the P4 oracle solves every point of
+both sweeps, the algorithm that solve_p4's bound-and-prune replaced.
 """
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from energyshed.policy import PolicyConfig
-from energyshed.problems import build_p3
+from energyshed.problems import build_p3, evaluate_f_tau
 from energyshed.qpcore import check_feasibility
 
 
@@ -134,3 +136,50 @@ def bisection_p2(scenario, cfg=None):
         else:
             hi = mid
     return lo, trace
+
+
+def _sweep_points(lo, hi, step):
+    pts = np.arange(lo, hi + 0.5 * step, step)
+    return pts[pts <= hi + 1e-9 * step]
+
+
+def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
+    """P4 by solving every point of both sweeps.
+
+    The mesh over [tau_lo, tau_hi], then the tenfold-finer mesh within one
+    mesh step of the incumbent, whose best point replaces the incumbent if
+    strictly better; ties go to the smaller tau.  Returns tau_star, f_star,
+    cost, report and trace ((tau, f, cost) per distinct rounded tau).
+    cache ({round(tau, 12): report or None}) may be shared across calls on
+    one scenario, since the cost solves do not depend on zeta.
+    """
+    cfg = cfg or PolicyConfig()
+    cache = {} if cache is None else cache
+    seen = set()
+
+    def sweep(points):
+        best_tau, best_val = None, -np.inf
+        for tau in points:
+            key = round(float(tau), 12)
+            seen.add(key)
+            if key not in cache:
+                cache[key] = evaluate_f_tau(scenario, key, zeta, check=False)[1]
+            rep = cache[key]
+            val = -np.inf if rep is None else key - rep.cost / zeta
+            if val > best_val:
+                best_tau, best_val = tau, val
+        return best_tau, best_val
+
+    tau_star, f_star = sweep(_sweep_points(cfg.tau_lo, cfg.tau_hi, cfg.mesh))
+    if tau_star is None:
+        raise ValueError("all mesh points infeasible")
+    cand, val = sweep(_sweep_points(max(cfg.tau_lo, tau_star - cfg.mesh),
+                                    min(cfg.tau_hi, tau_star + cfg.mesh),
+                                    cfg.mesh / 10.0))
+    if val > f_star:
+        tau_star, f_star = cand, val
+    report = cache[round(tau_star, 12)]
+    trace = [(t, -np.inf if cache[t] is None else t - cache[t].cost / zeta,
+              np.inf if cache[t] is None else cache[t].cost) for t in sorted(seen)]
+    return SimpleNamespace(tau_star=float(tau_star), f_star=float(f_star),
+                           cost=report.cost, report=report, trace=trace)

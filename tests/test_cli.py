@@ -181,8 +181,10 @@ class TestExitCodes:
         assert args[-2].lstrip("-") in capsys.readouterr().err
         assert (tmp_path / "o" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("grid", ["5", "[null]", "[true]"],
-                             ids=["number", "null-value", "bool-value"])
+    @pytest.mark.parametrize("grid", ["5", "[null]", "[true]", "[2.0, 1.0]",
+                                      "[-1.0, 1.0]", "[]"],
+                             ids=["number", "null-value", "bool-value",
+                                  "descending", "negative", "empty"])
     def test_malformed_zeta_grid(self, scenario_file, tmp_path, grid):
         path = tmp_path / "zg.json"
         path.write_text(grid)

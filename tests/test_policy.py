@@ -22,7 +22,7 @@ from energyshed.policy import (
 )
 from energyshed.problems import build_p3
 from energyshed.qpcore import check_feasibility
-from oracles import bisection_p2
+from oracles import bisection_p2, full_sweep_p4
 
 
 def sink_scenario(cap1=0.3, alpha=None):
@@ -251,13 +251,33 @@ class TestSweep:
         assert res.cost_normalized <= 1.0 + 1e-4
 
     def test_trace_sorted_and_complete(self):
+        # the trace lists the solved floors, each a row of the full sweep
+        s = sink_scenario()
         cfg = PolicyConfig(mesh=0.1)
-        res = solve_p4(sink_scenario(), 10.0, cfg)
+        res = solve_p4(s, 10.0, cfg)
+        full = full_sweep_p4(s, 10.0, cfg)
         taus = [t for t, _, _ in res.trace]
         assert taus == sorted(taus)
         assert res.probes == len(res.trace)
-        # initial mesh plus one refinement decade around the incumbent
-        assert res.probes >= 11
+        assert set(res.trace) <= set(full.trace)
+        assert round(res.tau_star, 12) in taus
+        assert res.probes < len(full.trace)
+
+    def test_sweeps_stay_in_bracket(self):
+        # mesh 0.15 does not divide [0, 1]: 1.05 and the refinement's 1.005
+        # lie outside the bracket and are not swept
+        res = solve_p4(sink_scenario(cap1=2.0), 1e9, PolicyConfig(mesh=0.15))
+        assert max(t for t, _, _ in res.trace) <= 1.0
+        assert 0.99 - 1e-9 <= res.tau_star <= 1.0
+
+    @pytest.mark.parametrize("mesh", [0.05, 0.01])
+    def test_mesh_points_unchanged(self, mesh):
+        # the pareto-sweep and CLI-default meshes keep every point; the
+        # refinement's last one, 0.5000000000000001, is 0.5 up to rounding
+        pts = np.arange(0.0, 1.0 + 0.5 * mesh, mesh)
+        assert np.array_equal(policy._grid(0.0, 1.0, mesh), pts)
+        fine = np.arange(0.4, 0.5 + 0.05 * mesh, mesh / 10.0)
+        assert np.array_equal(policy._grid(0.4, 0.5, mesh / 10.0), fine)
 
     def test_infeasible_points_marked_not_fatal(self):
         s = sink_scenario(cap1=0.3)
@@ -307,14 +327,14 @@ class TestParetoFront:
             assert solo.cost_normalized == pytest.approx(cost_norm, rel=1e-12)
 
     def test_each_tau_evaluated_once(self, monkeypatch):
-        # one sweep path: every distinct rounded tau of the whole front is
-        # solved exactly once, serially or on a pool
+        # one sweep path: no floor of the whole front is solved twice, the
+        # baseline stands in for floor 0, and the pool solves the same floors
         s = sink_scenario()
         cfg = PolicyConfig(mesh=0.1, zeta_grid=(0.5, 50.0))
         swept = {t for zeta in cfg.zeta_grid
-                 for t, _, _ in solve_p4(s, zeta, cfg).trace}
+                 for t, _, _ in full_sweep_p4(s, zeta, cfg).trace}
         evaluate = policy.evaluate_f_tau
-        fronts = {}
+        fronts, solved = {}, {}
         for threads in (1, 2):
             calls = []
 
@@ -324,13 +344,88 @@ class TestParetoFront:
 
             monkeypatch.setattr(policy, "evaluate_f_tau", counting)
             fronts[threads] = pareto_front(s, cfg, threads=threads)
-            assert sorted(calls) == sorted(swept), threads
+            assert len(calls) == len(set(calls)), threads
+            assert set(calls) <= swept - {0.0}, threads
+            solved[threads] = sorted(calls)
         assert fronts[1] == fronts[2]
+        assert solved[1] == solved[2]
 
     def test_grid_validation(self):
+        with pytest.raises(PolicyInputError, match="nonempty"):
+            pareto_front(sink_scenario(), PolicyConfig(zeta_grid=()))
         with pytest.raises(PolicyError, match="ascending"):
             pareto_front(sink_scenario(),
                          PolicyConfig(zeta_grid=(2.0, 1.0)))
         with pytest.raises(PolicyError, match="positive"):
             pareto_front(sink_scenario(),
                          PolicyConfig(zeta_grid=(-1.0, 1.0)))
+
+
+@pytest.fixture(scope="module")
+def medium_oracle_cache():
+    """The full sweep's cost solves on bundled medium, shared by its calls."""
+    return {}
+
+
+def same_as_full_sweep(res, full):
+    """solve_p4's answer is the full sweep's, and its trace rows are rows of it."""
+    rows = {t: (f, c) for t, f, c in full.trace}
+    return (res.tau_star == full.tau_star and res.f_star == full.f_star
+            and res.cost == full.cost and res.report == full.report
+            and all(rows.get(t) == (f, c) for t, f, c in res.trace))
+
+
+class TestAgainstFullSweep:
+    """solve_p4's bound-and-prune against the full sweep (tests/oracles.py)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(log_zeta=st.floats(-3.0, 4.0), mesh=st.floats(0.05, 0.3),
+           cap=st.floats(0.05, 2.5))
+    def test_sink_cases(self, log_zeta, mesh, cap):
+        s, zeta, cfg = sink_scenario(cap1=cap), 10.0 ** log_zeta, PolicyConfig(mesh=mesh)
+        assert same_as_full_sweep(solve_p4(s, zeta, cfg), full_sweep_p4(s, zeta, cfg))
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), limited=st.booleans(),
+           log_zeta=st.floats(-3.0, 4.0), mesh=st.floats(0.05, 0.3))
+    def test_line_cases(self, seed, limited, log_zeta, mesh):
+        s, _ = single_shed_scenario(np.random.default_rng(seed), limited)
+        zeta, cfg = 10.0 ** log_zeta, PolicyConfig(mesh=mesh)
+        assert same_as_full_sweep(solve_p4(s, zeta, cfg), full_sweep_p4(s, zeta, cfg))
+
+    # the zeta grids of the benchmark's pareto-sweep workload
+    @pytest.mark.parametrize("grid", [(0.05683, 0.5085), (0.04189, 0.466)],
+                             ids=["grid0", "grid1"])
+    def test_medium_pareto_grids(self, scenario_medium, medium_oracle_cache, grid):
+        cfg = PolicyConfig(mesh=0.05)
+        cache = {}
+        for zeta in grid:
+            res = solve_p4(scenario_medium, zeta, cfg, cost_cache=cache, threads=2)
+            full = full_sweep_p4(scenario_medium, zeta, cfg, cache=medium_oracle_cache)
+            assert same_as_full_sweep(res, full), zeta
+        # the full sweep solves 39 floors; baseline plus ten solves here
+        assert len(cache) <= 12
+
+    @pytest.mark.parametrize("status", ["max_iter", "infeasible"])
+    def test_failed_floor_bounds(self, monkeypatch, status):
+        # floors from 0.6 up fail; 0.6, the middle of the first run, is
+        # solved first.  Only an infeasible status proves the floors above
+        # it infeasible; a max_iter one prunes nothing.
+        evaluate = policy.evaluate_f_tau
+        calls = []
+
+        def failing(scenario, tau, zeta, check=True):
+            calls.append(tau)
+            if tau >= 0.6:
+                return -math.inf, None, status
+            return evaluate(scenario, tau, zeta, check=check)
+
+        monkeypatch.setattr(policy, "evaluate_f_tau", failing)
+        res = solve_p4(sink_scenario(cap1=2.0), 1e9, PolicyConfig(mesh=0.1))
+        assert calls[0] == 0.6
+        above = {t for t in calls if t > 0.6}
+        if status == "infeasible":
+            assert above == set()
+        else:
+            assert above == {0.7, 0.8, 0.9, 1.0}
+        assert res.tau_star < 0.6

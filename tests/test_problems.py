@@ -200,22 +200,22 @@ class TestP2Step:
 class TestSweepObjective:
     def test_large_zeta_approaches_tau(self):
         s = chain_scenario()
-        val, rep = evaluate_f_tau(s, 0.6, 1e12)
-        assert rep is not None
+        val, rep, status = evaluate_f_tau(s, 0.6, 1e12)
+        assert rep is not None and status == "optimal"
         assert val == pytest.approx(0.6, abs=1e-9)
 
     def test_tau_zero_is_scaled_baseline_cost(self):
         s = chain_scenario()
         prog, _ = build_p1(s, 0.0)
         cost0 = solve_qp(prog).objective
-        val, _ = evaluate_f_tau(s, 0.0, 2.0)
+        val, _, _ = evaluate_f_tau(s, 0.0, 2.0)
         assert val == pytest.approx(-cost0 / 2.0, rel=1e-7)
 
     def test_infeasible_tau_marked(self):
         s = chain_scenario(cap_plus=[[0.1, 0.1], [0.0, 0.0], [3.0, 3.0]],
                            cap_minus=0.0)
-        val, rep = evaluate_f_tau(s, 50.0, 1.0)
-        assert val == -np.inf and rep is None
+        val, rep, status = evaluate_f_tau(s, 50.0, 1.0)
+        assert val == -np.inf and rep is None and status == "infeasible"
 
     def test_zeta_must_be_positive(self):
         with pytest.raises(BuildError, match="zeta"):

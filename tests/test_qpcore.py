@@ -127,6 +127,10 @@ class TestAgainstLinprog:
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(ref.fun, abs=1e-5)
             assert max(kkt_residuals(p, sol)) <= 1e-6
+            # the duality gap brackets the optimum: P4 prunes on objective - gap
+            slack = 1e-9 * (1.0 + abs(ref.fun))
+            assert sol.objective - sol.gap <= ref.fun + slack
+            assert ref.fun <= sol.objective + slack
 
 
 class TestAgainstActiveSetOracle:
