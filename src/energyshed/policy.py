@@ -197,10 +197,12 @@ def solve_p4(scenario, zeta, cfg=None, baseline_cost=None,
     solved floors and solves the middle point of every run as one batch
     (concurrently with threads > 1; the batches do not depend on threads).
 
-    The trace lists the swept floors that were solved.  The cost solves do
-    not depend on zeta, so an external cost_cache ({round(tau, 12):
-    _Floor(status, report, lower)}) may be shared across calls; the
-    baseline, when this call solves it, enters it as the floor 0.0.
+    tau_star is the floor rounded to 12 digits, the cache key, so that a
+    floor reads the same from either sweep.  The trace lists the swept
+    floors that were solved.  The cost solves do not depend on zeta, so an
+    external cost_cache ({round(tau, 12): _Floor(status, report, lower)})
+    may be shared across calls; the baseline, when this call solves it,
+    enters it as the floor 0.0.
     """
     if not 0 < zeta < INF:
         raise PolicyInputError("zeta must be positive and finite")
@@ -257,10 +259,11 @@ def solve_p4(scenario, zeta, cfg=None, baseline_cost=None,
     if cand_val > best_val:
         incumbent, best_val = cand, cand_val
 
-    report = cache[round(incumbent, 12)].report
+    tau_star = round(float(incumbent), 12)  # the cache key: one floor prints one way
+    report = cache[tau_star].report
     trace = [(t, value(t), INF if cache[t].report is None else cache[t].report.cost)
              for t in sorted(visited) if t in cache]
-    return PolicyResult(tau_star=float(incumbent), kind="p4", cost=report.cost,
+    return PolicyResult(tau_star=tau_star, kind="p4", cost=report.cost,
                         cost_normalized=_normalize(report.cost, baseline_cost),
                         report=report, trace=trace, f_star=float(best_val),
                         probes=len(trace))

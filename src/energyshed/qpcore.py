@@ -15,15 +15,17 @@ It is regularized and quasi-definite, its pattern is assembled once per
 solve, and it is factored by sparse LU (fixed symmetric minimum-degree
 ordering and diagonal pivoting, so runs are deterministic and fill stays
 low even when the slack diagonal is badly scaled).  Every program, with
-or without inequalities, goes through this one KKT path.  Infeasibility
-is certified by an explicit phase-1 elastic program rather than dual
-rays, solved once to a tight duality gap.
+or without inequalities, goes through this one KKT path.  There is no
+phase 1: infeasibility is certified by a Farkas ray read from the same
+solve's dual iterates, and an infeasible Solution's dual fields hold that
+ray.
 
 The accuracy is fixed, not configurable: solve_qp stops at scaled
 primal, dual and gap residuals of TOL = 1e-8 within MAX_ITER = 100
-iterations; phase 1 is solved to 1e-9 (gap 1e-12) and calls a program
-feasible when its elastic optimum is at most FEAS_TOL = 1e-7 times
-1 + the largest finite right-hand side.
+iterations.  A ray certifies infeasibility when its residual is at most
+1e-6 of its objective and that objective, per unit of the ray's max
+norm, exceeds FEAS_TOL = 1e-7 times 1 + the largest finite right-hand
+side: the threshold a phase-1 elastic program would apply to its optimum.
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ class Solution:
     objective: float
     status: str  # optimal | infeasible | max_iter
     iterations: int
+    # on status infeasible the dual fields hold a Farkas ray of max norm 1
     duals_lo: np.ndarray = field(default=None, repr=False)
     duals_hi: np.ndarray = field(default=None, repr=False)
     # s'z at the returned iterate: the duality gap.  With zero residuals
@@ -142,16 +145,20 @@ class Solution:
 
 TOL = 1e-8       # scaled primal, dual and gap tolerance of solve_qp
 MAX_ITER = 100   # IPM iteration cap per solve
-FEAS_TOL = 1e-7  # phase-1 threshold, relative to the right-hand-side scale
+FEAS_TOL = 1e-7  # infeasibility threshold, relative to the right-hand-side scale
 _REG = 1e-8      # static primal/dual regularization of the KKT system
 _STEP = 0.995    # fraction-to-boundary factor
 
 
-def _ipm(p, tol, tol_gap):
+def _ipm(p):
     """Infeasible-start Mehrotra predictor-corrector.
 
-    Stops when the scaled stationarity and feasibility residuals are at
-    most tol and the scaled mean complementarity at most tol_gap.
+    Stops with status optimal when the scaled stationarity, feasibility and
+    mean-complementarity residuals are at most TOL; with status infeasible
+    when the iterate's dual pair, or its last dual step, is a Farkas ray,
+    which it returns normalized to |(y, z)|_inf = 1 in the dual fields; and
+    with status max_iter after MAX_ITER iterations or a failed
+    factorization.
 
     Each finite bound keeps its own slack and dual, but its Newton row is
     eliminated: it adds z/(s + _REG*z) to the (1,1) diagonal and a matching
@@ -160,8 +167,6 @@ def _ipm(p, tol, tol_gap):
     assembled once, and each iteration rewrites only its diagonal.  A
     program with no inequality rows and no finite bounds takes the same
     path: mu is then zero and each step is a damped Newton step.
-
-    Returns (Solution-without-status-judgement, converged: bool).
     """
     n, mg, me = p.n, p.m_ineq, p.m_eq
     hi_idx = np.flatnonzero(np.isfinite(p.hi))
@@ -187,8 +192,9 @@ def _ipm(p, tol, tol_gap):
         """Sum the bound-row values v onto the variables they bound."""
         return np.bincount(bvar, v, minlength=n)
 
+    h_fin = np.where(np.isfinite(h), h, 0.0)
     data_scale = 1.0 + max(np.abs(c).max(initial=0.0),
-                           np.abs(h[np.isfinite(h)]).max(initial=0.0),
+                           np.abs(h_fin).max(initial=0.0),
                            np.abs(b).max(initial=0.0))
 
     # starting point: shifted so all slacks and duals are comfortably interior
@@ -209,9 +215,30 @@ def _ipm(p, tol, tol_gap):
                                                      np.diff(K.indptr)))
     diag = np.concatenate([q2 + _REG, np.zeros(mg), np.full(me, -_REG)])
 
-    best = None
-    converged = False
+    # Farkas test.  For a dual pair (y, z >= 0) with R = A'y + G'z (bound
+    # rows included) and phi = b'y + h'z, every feasible x has R'x <= phi;
+    # so R ~ 0 with phi < 0 proves the constraints infeasible.  The test on
+    # -phi / |(y, z)|_inf is the phase-1 elastic optimum's threshold in dual
+    # form.  It is applied to the iterate and to its last dual step: near
+    # the frontier the duals grow by a constant ray each step, while the
+    # iterate keeps the objective's gradient in its R.
+    feas_thr = FEAS_TOL * (1.0 + max(np.abs(b).max(initial=0.0),
+                                     np.abs(h_fin[:mg]).max(initial=0.0)))
+
+    def farkas(yw, zw):
+        """(yw, zw) scaled to |(yw, zw)|_inf = 1 if it is a ray, else None."""
+        phi = float(b @ yw + h_fin @ zw)
+        w_norm = max(np.abs(yw).max(initial=0.0), zw.max(initial=0.0))
+        if not -phi > feas_thr * w_norm:
+            return None
+        R = GT @ zw[:mg] + to_x(sgn * zw[mg:]) + AT @ yw
+        if np.abs(R).max(initial=0.0) > 1e-6 * -phi:
+            return None
+        return yw / w_norm, zw / w_norm
+
+    status = "max_iter"
     it = 0
+    y_prev, z_prev = y, z
     for it in range(1, MAX_ITER + 1):
         r_d = q2 * x + c + GT @ z[:mg] + to_x(sgn * z[mg:]) + AT @ y
         r_p = A @ x - b
@@ -222,15 +249,15 @@ def _ipm(p, tol, tol_gap):
         res_stat = np.abs(r_d).max() / data_scale
         res_feas = max(np.abs(r_p).max(initial=0.0), np.abs(r_g).max(initial=0.0)) / data_scale
         res_gap = mu / (1.0 + abs(obj))
-        metric = max(res_stat, res_feas, res_gap)
-        if best is None or metric < best[0]:
-            best = (metric, x.copy(), y.copy(), z.copy(), s.copy(), it)
-        if res_stat <= tol and res_feas <= tol and res_gap <= tol_gap:
-            converged = True
+        if res_stat <= TOL and res_feas <= TOL and res_gap <= TOL:
+            status = "optimal"
             break
-        # stall guard: primal infeasibility stuck well above tolerance
-        if it > 40 and res_feas > 1e-4 and metric > 0.9 * best[0] and best[5] < it - 15:
+        ray = farkas(y, z) or farkas(y - y_prev, np.maximum(z - z_prev, 0.0))
+        if ray:
+            status = "infeasible"
+            y, z = ray
             break
+        y_prev, z_prev = y, z
 
         # 1 / (s/z + _REG) per bound row: the eliminated (2,2) entry inverted
         d_b = z[mg:] / (s[mg:] + _REG * z[mg:])
@@ -275,17 +302,14 @@ def _ipm(p, tol, tol_gap):
         y = y + ad * dy
         z = z + ad * dz
 
-    if not converged and best is not None:
-        _, x, y, z, s, _ = best
     duals_hi = np.zeros(n)
     duals_lo = np.zeros(n)
     duals_hi[hi_idx] = z[mg:mg + hi_idx.size]
     duals_lo[lo_idx] = z[mg + hi_idx.size:]
-    sol = Solution(x=x, duals_eq=y, duals_ineq=z[:mg].copy(),
-                   objective=p.objective(x), status="optimal" if converged else "max_iter",
-                   iterations=it, duals_lo=duals_lo, duals_hi=duals_hi,
-                   gap=float(s @ z))
-    return sol, converged
+    return Solution(x=x, duals_eq=y, duals_ineq=z[:mg].copy(),
+                    objective=p.objective(x), status=status,
+                    iterations=it, duals_lo=duals_lo, duals_hi=duals_hi,
+                    gap=float(s @ z))
 
 
 def _max_step(v, dv):
@@ -296,66 +320,29 @@ def _max_step(v, dv):
 
 
 # ---------------------------------------------------------------------------
-# phase 1
-# ---------------------------------------------------------------------------
-
-def _phase1_program(p):
-    """Elastic LP: bounds stay hard, G rows get slack u, equalities get v-w.
-
-    min 1'u + 1'(v + w)  s.t.  Gx - u <= h, Ax + v - w = b, u,v,w >= 0.
-    Always feasible and bounded; optimum ~ 0 iff p's constraints admit a
-    point inside the variable box.
-    """
-    n, mi, me = p.n, p.m_ineq, p.m_eq
-    n_tot = n + mi + 2 * me
-    q = np.zeros(n_tot)
-    c = np.concatenate([np.zeros(n), np.ones(mi + 2 * me)])
-    lo = np.concatenate([p.lo, np.zeros(mi + 2 * me)])
-    hi = np.concatenate([p.hi, np.full(mi + 2 * me, INF)])
-    G = None
-    h = None
-    if mi:
-        G = sp.hstack([p.G_ineq, -sp.identity(mi), sp.csr_matrix((mi, 2 * me))],
-                      format="csr")
-        h = p.h_ineq
-    A = None
-    b = None
-    if me:
-        A = sp.hstack([p.A_eq, sp.csr_matrix((me, mi)), sp.identity(me), -sp.identity(me)],
-                      format="csr")
-        b = p.b_eq
-    return QuadProgram(n=n_tot, q_diag=q, c_lin=c, A_eq=A, b_eq=b,
-                       G_ineq=G, h_ineq=h, lo=lo, hi=hi)
-
-
-def check_feasibility(p):
-    """'feasible' or 'infeasible' by phase-1 elastic minimization."""
-    if (p.lo > p.hi).any():
-        return "infeasible"
-    scale = 1.0 + max(np.abs(p.b_eq).max(initial=0.0) if p.m_eq else 0.0,
-                      np.abs(p.h_ineq[np.isfinite(p.h_ineq)]).max(initial=0.0)
-                      if p.m_ineq else 0.0)
-    # the IPM's mean-complementarity stop leaves a total duality gap of order
-    # tol_gap * m_ineq, which at TOL can straddle the threshold on marginal
-    # problems; so the elastic LP is solved to a much tighter gap
-    sol, _ = _ipm(_phase1_program(p), 1e-9, 1e-12)
-    return "feasible" if sol.objective <= FEAS_TOL * scale else "infeasible"
-
-
-# ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
 def solve_qp(p):
     """Solve the program; status is optimal, infeasible or max_iter."""
     p.validate()
-    sol, converged = _ipm(p, TOL, TOL)
-    if converged:
-        return sol
-    # did not converge: classify via phase 1
-    if check_feasibility(p) == "infeasible":
-        sol.status = "infeasible"
-    return sol
+    return _ipm(p)
+
+
+def check_feasibility(p):
+    """'feasible' or 'infeasible': p's constraints solved with a zero objective.
+
+    Feasible when the IPM converges, infeasible when it finds a Farkas
+    certificate; QPError when neither happens within MAX_ITER iterations.
+    """
+    if (p.lo > p.hi).any():
+        return "infeasible"
+    sol = _ipm(QuadProgram(n=p.n, q_diag=np.zeros(p.n), c_lin=np.zeros(p.n),
+                           A_eq=p.A_eq, b_eq=p.b_eq, G_ineq=p.G_ineq,
+                           h_ineq=p.h_ineq, lo=p.lo, hi=p.hi))
+    if sol.status == "max_iter":
+        raise QPError(f"feasibility undecided after {sol.iterations} iterations")
+    return "feasible" if sol.status == "optimal" else "infeasible"
 
 
 def kkt_residuals(p, s):

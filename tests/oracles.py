@@ -5,7 +5,10 @@ solvers: the ratio oracle enumerates candidate dispatch vertices, and the
 dispatch oracle searches a dense grid after eliminating the power-balance
 equalities.  The P2 oracle is bisection on the feasibility problem P3,
 the algorithm that solve_p2 replaced; the P4 oracle solves every point of
-both sweeps, the algorithm that solve_p4's bound-and-prune replaced.
+both sweeps, the algorithm that solve_p4's bound-and-prune replaced.  The
+feasibility oracle is the phase-1 elastic LP that the solver's Farkas
+certificate replaced, solved by HiGHS; farkas_ok checks such a
+certificate from the program's data alone.
 """
 
 import itertools
@@ -13,10 +16,12 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from energyshed.policy import PolicyConfig
 from energyshed.problems import build_p3, evaluate_f_tau
-from energyshed.qpcore import check_feasibility
+from energyshed.qpcore import FEAS_TOL, check_feasibility
 
 
 def best_ratio_series(gen, load, cap_plus, export_limit=None):
@@ -148,8 +153,9 @@ def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
 
     The mesh over [tau_lo, tau_hi], then the tenfold-finer mesh within one
     mesh step of the incumbent, whose best point replaces the incumbent if
-    strictly better; ties go to the smaller tau.  Returns tau_star, f_star,
-    cost, report and trace ((tau, f, cost) per distinct rounded tau).
+    strictly better; ties go to the smaller tau.  Returns tau_star (rounded
+    to 12 digits, as solve_p4 reports it), f_star, cost, report and trace
+    ((tau, f, cost) per distinct rounded tau).
     cache ({round(tau, 12): report or None}) may be shared across calls on
     one scenario, since the cost solves do not depend on zeta.
     """
@@ -181,5 +187,61 @@ def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
     report = cache[round(tau_star, 12)]
     trace = [(t, -np.inf if cache[t] is None else t - cache[t].cost / zeta,
               np.inf if cache[t] is None else cache[t].cost) for t in sorted(seen)]
-    return SimpleNamespace(tau_star=float(tau_star), f_star=float(f_star),
+    return SimpleNamespace(tau_star=round(float(tau_star), 12), f_star=float(f_star),
                            cost=report.cost, report=report, trace=trace)
+
+
+def phase1_feasibility(p):
+    """'feasible' or 'infeasible' by the phase-1 elastic LP, solved by HiGHS.
+
+    min 1'u + 1'(v + w)  s.t.  Gx - u <= h, Ax + v - w = b, lo <= x <= hi,
+    u, v, w >= 0.  Always feasible and bounded; p is called feasible when
+    the optimum is at most FEAS_TOL times 1 + the largest finite
+    right-hand side of its rows.
+    """
+    n, mi, me = p.n, p.m_ineq, p.m_eq
+    cost = np.concatenate([np.zeros(n), np.ones(mi + 2 * me)])
+    bounds = np.column_stack([np.concatenate([p.lo, np.zeros(mi + 2 * me)]),
+                              np.concatenate([p.hi, np.full(mi + 2 * me, np.inf)])])
+    kw = {}
+    if mi:
+        kw["A_ub"] = sp.hstack([p.G_ineq, -sp.identity(mi), sp.csr_matrix((mi, 2 * me))],
+                               format="csr")
+        kw["b_ub"] = p.h_ineq
+    if me:
+        kw["A_eq"] = sp.hstack([p.A_eq, sp.csr_matrix((me, mi)), sp.identity(me),
+                                -sp.identity(me)], format="csr")
+        kw["b_eq"] = p.b_eq
+    res = linprog(cost, bounds=bounds, method="highs", **kw)
+    if res.status != 0:
+        raise RuntimeError(f"elastic LP not solved: {res.message}")
+    scale = 1.0 + max(np.abs(p.b_eq).max(initial=0.0) if me else 0.0,
+                      np.abs(p.h_ineq[np.isfinite(p.h_ineq)]).max(initial=0.0) if mi else 0.0)
+    return "feasible" if res.fun <= FEAS_TOL * scale else "infeasible"
+
+
+def farkas_ok(p, sol):
+    """Whether sol's duals (y, z) are a Farkas ray for p's constraints.
+
+    z >= 0, no weight on an absent bound or an infinite right-hand side,
+    |A'y + G'z + z_hi - z_lo|_inf <= 1e-6 * (-phi) and
+    phi = b'y + h'z + hi'z_hi - lo'z_lo < 0: every x in the constraint set
+    would have (A'y + G'z + z_hi - z_lo)'x <= phi, so none exists.
+    """
+    fin_hi, fin_lo = np.isfinite(p.hi), np.isfinite(p.lo)
+    z_hi, z_lo = np.asarray(sol.duals_hi), np.asarray(sol.duals_lo)
+    if (z_hi < 0).any() or (z_lo < 0).any() or z_hi[~fin_hi].any() or z_lo[~fin_lo].any():
+        return False
+    resid = z_hi - z_lo
+    phi = float(p.hi[fin_hi] @ z_hi[fin_hi] - p.lo[fin_lo] @ z_lo[fin_lo])
+    if p.m_eq:
+        resid = resid + p.A_eq.T @ sol.duals_eq
+        phi += float(p.b_eq @ sol.duals_eq)
+    if p.m_ineq:
+        z = np.asarray(sol.duals_ineq)
+        fin = np.isfinite(p.h_ineq)
+        if (z < 0).any() or z[~fin].any():
+            return False
+        resid = resid + p.G_ineq.T @ z
+        phi += float(p.h_ineq[fin] @ z[fin])
+    return phi < 0 and float(np.abs(resid).max(initial=0.0)) <= 1e-6 * -phi

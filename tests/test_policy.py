@@ -350,6 +350,14 @@ class TestParetoFront:
         assert fronts[1] == fronts[2]
         assert solved[1] == solved[2]
 
+    def test_tau_star_prints_one_way(self, scenario_medium):
+        # at mesh 0.25, medium's tau* 0.475 comes from refinement sweeps
+        # around different incumbents: 0 + 19 * 0.025 and 0.25 + 9 * 0.025
+        # differ in the last bits, the rounded floor does not
+        cfg = PolicyConfig(mesh=0.25, zeta_grid=PolicyConfig().zeta_grid[2:5])
+        front = pareto_front(scenario_medium, cfg)
+        assert [repr(t) for _, t, _ in front] == ["0.475"] * 3
+
     def test_grid_validation(self):
         with pytest.raises(PolicyInputError, match="nonempty"):
             pareto_front(sink_scenario(), PolicyConfig(zeta_grid=()))

@@ -6,7 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
 
+from conftest import data_path, single_shed_scenario
 from energyshed import qpcore
+from energyshed.cli import EXIT_INFEASIBLE, main
 from energyshed.problems import build_p1, build_p3
 from energyshed.qpcore import (
     QPError,
@@ -15,7 +17,7 @@ from energyshed.qpcore import (
     kkt_residuals,
     solve_qp,
 )
-from oracles import active_set_qp
+from oracles import active_set_qp, farkas_ok, phase1_feasibility
 
 
 def qp(**kw):
@@ -53,16 +55,20 @@ class TestHandProblems:
 class TestInfeasibility:
     def test_crossed_halfspaces(self):
         # x <= -1 and x >= 1
-        sol = solve_qp(qp(q_diag=[1.0], c_lin=[0.0],
-                          G_ineq=sp.csr_matrix([[1.0]]), h_ineq=[-1.0],
-                          lo=[1.0], hi=[np.inf]))
+        p = qp(q_diag=[1.0], c_lin=[0.0],
+               G_ineq=sp.csr_matrix([[1.0]]), h_ineq=[-1.0],
+               lo=[1.0], hi=[np.inf])
+        sol = solve_qp(p)
         assert sol.status == "infeasible"
+        assert farkas_ok(p, sol)
 
     def test_equality_outside_box(self):
         p = qp(q_diag=[1.0, 1.0], c_lin=[0.0, 0.0],
                A_eq=sp.csr_matrix([[1.0, 1.0]]), b_eq=[5.0],
                lo=[0.0, 0.0], hi=[1.0, 1.0])
-        assert solve_qp(p).status == "infeasible"
+        sol = solve_qp(p)
+        assert sol.status == "infeasible"
+        assert farkas_ok(p, sol)
         assert check_feasibility(p) == "infeasible"
 
     def test_feasibility_probe_positive(self):
@@ -131,6 +137,47 @@ class TestAgainstLinprog:
             slack = 1e-9 * (1.0 + abs(ref.fun))
             assert sol.objective - sol.gap <= ref.fun + slack
             assert ref.fun <= sol.objective + slack
+
+    def test_random_lps_with_a_moved_row(self):
+        # row i's right-hand side moved below (infeasible) or above
+        # (feasible) the least value g_i'x that HiGHS finds over the other
+        # constraints; the status must be HiGHS's
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(12):
+            n, mi, me = 10, 6, 3
+            A = rng.normal(size=(me, n))
+            G = rng.normal(size=(mi, n))
+            x0 = rng.uniform(0.0, 1.0, n)
+            b = A @ x0
+            h = G @ x0 + rng.uniform(0.1, 1.0, mi)
+            kind = rng.permutation(np.arange(n) % 4)
+            lo = np.where(kind % 2 == 1, rng.uniform(-4.0, -0.5, n), -np.inf)
+            hi = np.where(kind >= 2, rng.uniform(1.5, 4.0, n), np.inf)
+            w_lo = np.where(np.isfinite(lo), rng.uniform(0.0, 1.0, n), 0.0)
+            w_hi = np.where(np.isfinite(hi), rng.uniform(0.0, 1.0, n), 0.0)
+            c = (-A.T @ rng.normal(size=me) - G.T @ rng.uniform(0.0, 1.0, mi)
+                 + w_lo - w_hi)
+            i = int(rng.integers(mi))
+            rest = np.arange(mi) != i
+            least = linprog(G[i], A_ub=G[rest], b_ub=h[rest], A_eq=A, b_eq=b,
+                            bounds=list(zip(lo, hi)), method="highs")
+            if least.status != 0:  # g_i'x unbounded below: no row to move
+                continue
+            for shift in (-1.0, -1e-1, -1e-3, 1e-3, 1e-1):
+                h_moved = h.copy()
+                h_moved[i] = least.fun + shift * (1.0 + abs(least.fun))
+                p = qp(q_diag=np.zeros(n), c_lin=c, A_eq=sp.csr_matrix(A), b_eq=b,
+                       G_ineq=sp.csr_matrix(G), h_ineq=h_moved, lo=lo, hi=hi)
+                sol = solve_qp(p)
+                ref = linprog(c, A_ub=G, b_ub=h_moved, A_eq=A, b_eq=b,
+                              bounds=list(zip(lo, hi)), method="highs")
+                assert ref.status in (0, 2)
+                assert sol.status == ("optimal" if ref.status == 0 else "infeasible")
+                if ref.status == 2:
+                    assert farkas_ok(p, sol)
+                checked += 1
+        assert checked >= 30
 
 
 class TestAgainstActiveSetOracle:
@@ -210,21 +257,30 @@ class TestNumericalContracts:
         assert seen and {shape for shape, _ in seen} == {(dim, dim)}
         assert len({nnz for _, nnz in seen}) == 1  # one fixed pattern
 
-    def test_phase1_is_one_solve(self, scenario_medium, monkeypatch):
-        # the elastic LP is solved once, at the tight gap, even on a
-        # feasible probe whose phase-1 optimum sits near the threshold
-        calls = []
+    def test_infeasible_floor_is_one_solve(self, tmp_path, monkeypatch):
+        # solve-p1 certifies an infeasible floor from its one IPM run, in no
+        # more iterations than the feasible floor 0.5 takes
+        runs = []
         ipm = qpcore._ipm
 
-        def counting_ipm(p, tol, tol_gap):
-            calls.append(tol_gap)
-            return ipm(p, tol, tol_gap)
+        def recording_ipm(p):
+            sol = ipm(p)
+            runs.append(sol)
+            return sol
 
-        monkeypatch.setattr(qpcore, "_ipm", counting_ipm)
-        probe = build_p3(scenario_medium, 0.6, check=False)
-        assert check_feasibility(probe) == "feasible"
-        assert len(calls) == 1
-        assert calls[0] <= 1e-12
+        monkeypatch.setattr(qpcore, "_ipm", recording_ipm)
+        path = data_path("scenario_medium.json")
+        iterations = {}
+        for floor in (0.5, 1.5, 3.0):
+            runs.clear()
+            code = main(["solve-p1", "--scenario", path, "--x-min", str(floor),
+                         "--out", str(tmp_path / str(floor))])
+            assert code == (0 if floor == 0.5 else EXIT_INFEASIBLE)
+            assert len(runs) == 1
+            assert runs[0].status == ("optimal" if floor == 0.5 else "infeasible")
+            assert (tmp_path / str(floor) / "manifest.json").is_file()
+            iterations[floor] = runs[0].iterations
+        assert max(iterations[1.5], iterations[3.0]) <= iterations[0.5]
 
     def test_bit_identical_reruns(self):
         a = solve_qp(self.build())
@@ -241,3 +297,127 @@ class TestNumericalContracts:
         s1, s2 = solve_qp(p1), solve_qp(p2)
         assert s2.objective == pytest.approx(10.0 * s1.objective, rel=1e-6)
         np.testing.assert_allclose(s1.x, s2.x, atol=1e-4)
+
+
+class TestPhase1Oracle:
+    """The Farkas certificate decides as the phase-1 elastic LP (oracles.py)."""
+
+    @pytest.mark.parametrize("name", ["low", "medium", "high"])
+    @pytest.mark.parametrize("floor", [0.5, 0.999, 1.5, 3.0])
+    def test_bundled_floors(self, request, name, floor):
+        scenario = request.getfixturevalue(f"scenario_{name}")
+        for p in (build_p1(scenario, floor, check=False)[0],
+                  build_p3(scenario, floor, check=False)):
+            want = phase1_feasibility(p)
+            assert want == ("feasible" if floor < 1.0 else "infeasible")
+            assert check_feasibility(p) == want
+            sol = solve_qp(p)
+            assert sol.status == ("optimal" if want == "feasible" else "infeasible")
+            if want == "infeasible":
+                assert farkas_ok(p, sol)
+
+
+def _rows(p, kind, M, v):
+    """p with its equality (kind "eq") or inequality rows replaced by M, v."""
+    eq = dict(A_eq=M, b_eq=v) if kind == "eq" else dict(A_eq=p.A_eq, b_eq=p.b_eq)
+    ineq = dict(G_ineq=M, h_ineq=v) if kind == "ineq" else dict(G_ineq=p.G_ineq,
+                                                                 h_ineq=p.h_ineq)
+    return QuadProgram(n=p.n, q_diag=p.q_diag, c_lin=p.c_lin, lo=p.lo, hi=p.hi,
+                       **eq, **ineq)
+
+
+def duplicate_row(p, kind, i):
+    M, v = (p.A_eq, p.b_eq) if kind == "eq" else (p.G_ineq, p.h_ineq)
+    return _rows(p, kind, sp.vstack([M, M[i]], format="csr"), np.append(v, v[i]))
+
+
+def scale_row(p, kind, i, factor):
+    M, v = (p.A_eq, p.b_eq) if kind == "eq" else (p.G_ineq, p.h_ineq)
+    d = np.ones(M.shape[0])
+    d[i] = factor
+    return _rows(p, kind, sp.diags(d) @ M, d * v)
+
+
+class TestStatusPins:
+    """Statuses on degenerate, badly scaled and near-infeasible programs."""
+
+    @pytest.mark.parametrize("limited", [False, True], ids=["free", "limited"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("delta", [-1e-4, -1e-6, 1e-6, 1e-4])
+    def test_near_frontier_floors(self, seed, limited, delta):
+        # single-shed line cases: the closed form is the exact frontier
+        s, bound = single_shed_scenario(np.random.default_rng(seed), limited)
+        feasible = delta < 0
+        p3 = build_p3(s, bound + delta, check=False)
+        assert check_feasibility(p3) == ("feasible" if feasible else "infeasible")
+        for p in (p3, build_p1(s, bound + delta, check=False)[0]):
+            sol = solve_qp(p)
+            assert sol.status == ("optimal" if feasible else "infeasible")
+            if not feasible:
+                assert farkas_ok(p, sol)
+
+    @pytest.mark.parametrize("edit", ["dup-eq", "dup-ineq", "scale-eq", "scale-ineq"])
+    @pytest.mark.parametrize("delta", [-1e-3, 1e-3])
+    def test_duplicated_and_scaled_rows(self, edit, delta):
+        s, bound = single_shed_scenario(np.random.default_rng(5), False)
+        p, _ = build_p1(s, bound + delta, check=False)
+        kind = edit.split("-")[1]
+        q = duplicate_row(p, kind, 0) if edit.startswith("dup") else scale_row(p, kind, 0, 1e6)
+        sol = solve_qp(q)
+        if delta < 0:
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(solve_qp(p).objective, rel=1e-6, abs=1e-8)
+        elif edit == "scale-eq":
+            # the feasibility tolerance scales with the largest right-hand
+            # side, which the 1e6 row raises to about 1e6: the floor's 1e-3
+            # infeasibility then passes as optimal, violating rows and bounds
+            assert sol.status == "optimal"
+            x = sol.x
+            assert max((q.G_ineq @ x - q.h_ineq).max(), (x - q.hi).max(),
+                       (q.lo - x).max()) > 1e-4
+        else:
+            assert sol.status == "infeasible"
+            assert farkas_ok(q, sol)
+
+    def test_duplicated_and_scaled_hand_rows(self):
+        # x <= -1 twice, and 1e6 x <= -1e6, against x >= 1
+        for G, h in (([[1.0], [1.0]], [-1.0, -1.0]), ([[1e6]], [-1e6])):
+            p = qp(q_diag=[1.0], c_lin=[0.0], G_ineq=sp.csr_matrix(G), h_ineq=h,
+                   lo=[1.0], hi=[np.inf])
+            sol = solve_qp(p)
+            assert sol.status == "infeasible"
+            assert farkas_ok(p, sol)
+
+    def test_crossed_bounds(self):
+        with pytest.raises(QPError, match="bound"):
+            qp(q_diag=[1.0, 1.0], c_lin=[0.0, 0.0], lo=[0.0, 2.0], hi=[1.0, 1.0])
+        # crossed after construction: check_feasibility reports it,
+        # solve_qp re-validates and refuses
+        p = qp(q_diag=[1.0, 1.0], c_lin=[0.0, 0.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
+        p.lo[1] = 2.0
+        assert check_feasibility(p) == "infeasible"
+        with pytest.raises(QPError, match="bound"):
+            solve_qp(p)
+
+    def test_fixed_variables(self):
+        # lo == hi: the equality decides
+        for total, status in ((2.0, "optimal"), (3.0, "infeasible")):
+            p = qp(q_diag=[1.0, 1.0], c_lin=[0.0, 0.0],
+                   A_eq=sp.csr_matrix([[1.0, 1.0]]), b_eq=[total],
+                   lo=[1.0, 1.0], hi=[1.0, 1.0])
+            sol = solve_qp(p)
+            assert sol.status == status
+            assert check_feasibility(p) == ("feasible" if status == "optimal" else "infeasible")
+            if status == "infeasible":
+                assert farkas_ok(p, sol)
+
+    @pytest.mark.parametrize("q, c, lo, hi, status", [
+        ([1.0, 2.0], [-4.0, 1.0], [0.0, 0.0], [1.0, 1.0], "optimal"),
+        ([0.0, 0.0], [1.0, -1.0], [0.0, 0.0], [1.0, 1.0], "optimal"),
+        ([1.0, 2.0], [-4.0, 1.0], [-np.inf, -np.inf], [np.inf, np.inf], "optimal"),
+        ([0.0, 0.0], [1.0, 0.0], [-np.inf, -np.inf], [np.inf, np.inf], "max_iter"),
+    ], ids=["boxed-qp", "boxed-lp", "free-qp", "unbounded-lp"])
+    def test_no_rows(self, q, c, lo, hi, status):
+        p = qp(q_diag=q, c_lin=c, lo=lo, hi=hi)
+        assert solve_qp(p).status == status
+        assert check_feasibility(p) == "feasible"
