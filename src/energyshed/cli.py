@@ -32,6 +32,7 @@ from .netmodel import (
     as_number,
     load_scenario,
     scenario_files,
+    shed_rows,
     validate_scenario,
 )
 from .policy import (
@@ -232,14 +233,12 @@ def _cmd_analyze(run):
         if not 0 < v < math.inf:
             raise AnalysisError(f"{flag} must be positive and finite, got {v!r}")
     scenario = _load_checked(run.args.scenario)
-    idx = scenario.network.bus_index()
     hours = scenario.time_grid.step_hours
     base = scenario.network.base_mva
     grid = [round(b, 10) for b in
             np.arange(0.0, run.args.max_budget + 1e-12, run.args.budget_step)]
     rows = []
-    for shed_id, members in scenario.partition.sheds:
-        sel = [idx[b] for b in members]
+    for shed_id, sel in zip(scenario.partition.shed_ids(), shed_rows(scenario)):
         limit = None
         if run.args.mode == "limits":
             up = scenario.budgets.export_upper
@@ -285,7 +284,7 @@ def _resolve_x_min(scenario, raw):
 def _cmd_solve_p1(run):
     scenario = _load_checked(run.args.scenario)
     x_min = _resolve_x_min(scenario, _x_min_value(run.args.x_min))
-    prog, lay = build_p1(scenario, x_min, check=False)
+    prog, lay = build_p1(scenario, x_min)
     sol = solve_qp(prog)
     if sol.status == "infeasible":
         raise InfeasibleError("requested ratio floors are infeasible")

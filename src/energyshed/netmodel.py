@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,10 +112,6 @@ class FlexBudget:
     export_upper: np.ndarray | None = None  # (n_bus, steps), +INF = absent
     export_lower: np.ndarray | None = None
 
-    @property
-    def has_export_limits(self):
-        return self.export_upper is not None or self.export_lower is not None
-
 
 @dataclass(frozen=True)
 class CostWeights:
@@ -128,12 +125,6 @@ class Partition:
 
     def shed_ids(self):
         return [k for k, _ in self.sheds]
-
-    def members(self, shed_id):
-        for k, nodes in self.sheds:
-            if k == shed_id:
-                return nodes
-        raise KeyError(f"unknown shed id {shed_id!r}")
 
 
 @dataclass(frozen=True)
@@ -189,6 +180,20 @@ def _strip_comments(text):
     return lines
 
 
+def _number(tok, where, line, ln):
+    """float(tok) if finite, else a CaseParseError located at tok in line
+    (0-based line number ln)."""
+    try:
+        val = float(tok)
+        kind = "non-finite"
+    except ValueError:
+        val, kind = math.nan, "invalid"
+    if not math.isfinite(val):
+        raise CaseParseError(f"{kind} numeric token {tok!r} in {where}",
+                             line=ln + 1, col=line.find(tok) + 1 or None)
+    return val
+
+
 def _extract_matrix(lines, key):
     """Pull the numeric rows of ``mpc.<key> = [ ... ];`` from the file.
 
@@ -221,14 +226,7 @@ def _extract_matrix(lines, key):
             stmt = stmt.strip()
             if not stmt:
                 continue
-            vals = []
-            for tok in stmt.split():
-                try:
-                    vals.append(float(tok))
-                except ValueError:
-                    col = lines[ln].find(tok) + 1
-                    raise CaseParseError(f"invalid numeric token {tok!r} in mpc.{key}",
-                                         line=ln + 1, col=col)
+            vals = [_number(tok, f"mpc.{key}", lines[ln], ln) for tok in stmt.split()]
             rows.append((ln + 1, vals))
     if not closed:
         raise CaseParseError(f"unterminated matrix mpc.{key}", line=start + 1)
@@ -240,10 +238,7 @@ def _extract_scalar(lines, key):
         squashed = line.replace(" ", "").replace("\t", "")
         if squashed.startswith(f"mpc.{key}="):
             rhs = squashed.split("=", 1)[1].rstrip(";")
-            try:
-                return float(rhs)
-            except ValueError:
-                raise CaseParseError(f"invalid scalar for mpc.{key}", line=ln + 1)
+            return _number(rhs, f"mpc.{key}", line, ln)
     return None
 
 
@@ -612,6 +607,10 @@ def validate_scenario(scenario):
     load_buses = {bus.id for bus in net.buses if bus.has_load}
     covered = set()
     for k, nodes in scenario.partition.sheds:
+        repeated = sorted(b for b, c in Counter(nodes).items() if c > 1)
+        if repeated:
+            rep.add("duplicate-shed-bus", f"shed {k} lists buses {repeated} more than once",
+                    location=f"shed {k}")
         nodes = set(nodes)
         if not nodes:
             rep.add("empty-shed", f"shed {k} has no buses", location=f"shed {k}")
@@ -647,9 +646,15 @@ def validate_scenario(scenario):
 # shed aggregates
 # ---------------------------------------------------------------------------
 
-def _shed_rows(scenario, shed_id):
+def shed_rows(scenario):
+    """Per shed, in partition order: the positions of its buses in
+    network.buses (the rows of the profile and budget arrays)."""
     idx = scenario.network.bus_index()
-    return [idx[i] for i in scenario.partition.members(shed_id)]
+    return [[idx[b] for b in members] for _, members in scenario.partition.sheds]
+
+
+def _shed_rows(scenario, shed_id):
+    return dict(zip(scenario.partition.shed_ids(), shed_rows(scenario)))[shed_id]
 
 
 def total_demand(scenario, shed_id):

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .netmodel import shed_rows
 from .problems import build_p1, build_p2_step, evaluate_f_tau, extract_report, shed_terms
 # check_feasibility is unused here but stays in the namespace: the P2
 # tests and perfbench/tracing.py rebind policy.check_feasibility
@@ -111,9 +112,7 @@ def solve_p2(scenario, cfg=None):
     def cell(tau):
         return min(math.floor((tau - lo) / h), 2 ** n_iter - 1)
 
-    idx = scenario.network.bus_index()
-    loads = np.array([scenario.profiles.load[[idx[b] for b in members]].sum()
-                      for _, members in scenario.partition.sheds])
+    loads = np.array([scenario.profiles.load[rows].sum() for rows in shed_rows(scenario)])
     tau, d_prev = lo, loads
     trace = []
     for _ in range(n_iter):
@@ -136,7 +135,7 @@ def solve_p2(scenario, cfg=None):
         raise PolicyError(f"P2 iteration did not converge in {n_iter} LPs")
 
     tau_star = lo + h * max(cell(tau), 0)
-    prog, lay = build_p1(scenario, tau_star, check=False)
+    prog, lay = build_p1(scenario, tau_star)
     sol = solve_qp(prog)
     if sol.status == "infeasible":
         if tau_star == cfg.tau_lo:  # t_0 may lie within FEAS_TOL below 0
@@ -214,7 +213,7 @@ def solve_p4(scenario, zeta, cfg=None, baseline_cost=None,
     visited = set()  # the rounded taus this call sweeps
 
     def solve_one(tau):
-        return _solved(*evaluate_f_tau(scenario, tau, zeta, check=False)[1:])
+        return _solved(*evaluate_f_tau(scenario, tau, zeta)[1:])
 
     def value(tau):
         rep = cache[tau].report

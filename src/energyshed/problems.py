@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .netmodel import Scenario, validate_scenario
+from .netmodel import shed_rows, validate_scenario
 from .qpcore import QuadProgram, solve_qp
 
 INF = math.inf
@@ -69,24 +69,6 @@ class VariableLayout:
     def n_vars(self):
         return self.off_cm + self.n_bus
 
-    def theta(self, i, t):
-        return self.off_theta + i * self.steps + t
-
-    def flow(self, e, t):
-        return self.off_flow + e * self.steps + t
-
-    def sp(self, i, t):
-        return self.off_sp + i * self.steps + t
-
-    def sm(self, i, t):
-        return self.off_sm + i * self.steps + t
-
-    def cp(self, i):
-        return self.off_cp + i
-
-    def cm(self, i):
-        return self.off_cm + i
-
     def decode(self, x):
         """Split a flat solution vector into named arrays."""
         nb, ne, T = self.n_bus, self.n_branch, self.steps
@@ -115,150 +97,118 @@ def _as_shed_vector(scenario, x_min):
     return vec
 
 
-def build_p1(scenario, x_min, check=True):
-    """Compile the cost-minimization problem; returns (QuadProgram, layout)."""
-    if check:
-        rep = validate_scenario(scenario)
-        if not rep.ok:
-            raise BuildError(f"invalid scenario:\n{rep}")
+def _csr(blocks, m, n):
+    """(m, n) CSR matrix from (rows, cols, values) blocks of index arrays; a
+    scalar value fills its block."""
+    rows, cols, vals = zip(*blocks)
+    vals = [np.broadcast_to(np.asarray(v, dtype=float), np.shape(r))
+            for r, v in zip(rows, vals)]
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))), shape=(m, n))
+
+
+def build_p1(scenario, x_min):
+    """Compile the cost-minimization problem; returns (QuadProgram, layout).
+
+    Each constraint block is a (rows, cols, values) triple of index arrays.
+    The balance row of (bus i, step t) is i*T + t, which is also the offset
+    of theta, S+ and S- at (i, t) within their blocks.
+    """
+    rep = validate_scenario(scenario)
+    if not rep.ok:
+        raise BuildError(f"invalid scenario:\n{rep}")
     x_min = _as_shed_vector(scenario, x_min)
 
     net = scenario.network
     nb, ne, T = net.n_bus, net.n_branch, scenario.time_grid.steps
     lay = VariableLayout(n_bus=nb, n_branch=ne, steps=T, x_min=tuple(x_min))
-    n = lay.n_vars
+    n, nbt, nft = lay.n_vars, nb * T, ne * T
     idx = net.bus_index()
     gen, load = scenario.profiles.gen, scenario.profiles.load
     cap_p, cap_m = scenario.budgets.cap_plus, scenario.budgets.cap_minus
 
-    t_arange = np.arange(T)
+    def bus_t(buses):
+        """The offsets i*T + t of the given bus positions i, t fastest."""
+        return (np.asarray(buses, dtype=int)[:, None] * T + np.arange(T)).ravel()
+
+    # per (branch, t): the (bus, t) offsets of its end buses, and its flow
+    frm = bus_t([idx[br.from_bus] for br in net.branches])
+    to = bus_t([idx[br.to_bus] for br in net.branches])
+    flow = lay.off_flow + np.arange(nft)
 
     # ---- bounds ------------------------------------------------------
     lo = np.full(n, -INF)
     hi = np.full(n, INF)
-    for e, br in enumerate(net.branches):
-        cols = lay.flow(e, 0) + t_arange
-        lo[cols] = -br.flow_limit
-        hi[cols] = br.flow_limit
-    lo[lay.off_sp:lay.off_sm] = 0.0
-    hi[lay.off_sp:lay.off_sm] = cap_p.ravel()
-    lo[lay.off_sm:lay.off_cp] = 0.0
-    hi[lay.off_sm:lay.off_cp] = cap_m.ravel()
-    lo[lay.off_cp:] = 0.0
+    hi[flow] = np.repeat([br.flow_limit for br in net.branches], T)
+    lo[flow] = -hi[flow]
+    lo[lay.off_sp:] = 0.0
+    hi[lay.off_sp:lay.off_cp] = np.stack([cap_p, cap_m]).ravel()
     # buses that can never use flexibility get their capacity pinned to zero
     hi[lay.off_cp + np.flatnonzero(cap_p.max(axis=1) == 0)] = 0.0
     hi[lay.off_cm + np.flatnonzero(cap_m.max(axis=1) == 0)] = 0.0
 
     # ---- equalities --------------------------------------------------
-    rows, cols, vals, rhs = [], [], [], []
-    r = 0
-
-    def add(row, col, val):
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
-    # power balance per (bus, t): S+ - S- - sum(out flows) + sum(in flows) = L - G
-    bal_row = {}
-    for i in range(nb):
-        for t in range(T):
-            add(r, lay.sp(i, t), 1.0)
-            add(r, lay.sm(i, t), -1.0)
-            bal_row[(i, t)] = r
-            rhs.append(load[i, t] - gen[i, t])
-            r += 1
-    for e, br in enumerate(net.branches):
-        fi, ti = idx[br.from_bus], idx[br.to_bus]
-        for t in range(T):
-            add(bal_row[(fi, t)], lay.flow(e, t), -1.0)
-            add(bal_row[(ti, t)], lay.flow(e, t), 1.0)
-
-    # flow law per (branch, t): x_e * flow - theta_f + theta_to = 0
-    for e, br in enumerate(net.branches):
-        fi, ti = idx[br.from_bus], idx[br.to_bus]
-        for t in range(T):
-            add(r, lay.flow(e, t), br.reactance)
-            add(r, lay.theta(fi, t), -1.0)
-            add(r, lay.theta(ti, t), 1.0)
-            rhs.append(0.0)
-            r += 1
-
-    # reference angle pinned per t
-    ref = idx[net.reference_bus]
-    for t in range(T):
-        add(r, lay.theta(ref, t), 1.0)
-        rhs.append(0.0)
-        r += 1
-
-    A_eq = sp.csr_matrix((vals, (rows, cols)), shape=(r, n))
-    b_eq = np.array(rhs)
+    bal, law = np.arange(nbt), nbt + np.arange(nft)
+    A_eq = _csr([
+        # power balance per (bus, t): S+ - S- - sum(out flows) + sum(in flows) = L - G
+        (bal, lay.off_sp + bal, 1.0), (bal, lay.off_sm + bal, -1.0),
+        (frm, flow, -1.0), (to, flow, 1.0),
+        # flow law per (branch, t): x_e * flow - theta_f + theta_to = 0
+        (law, flow, np.repeat([br.reactance for br in net.branches], T)),
+        (law, lay.off_theta + frm, -1.0), (law, lay.off_theta + to, 1.0),
+        # reference angle pinned per t
+        (nbt + nft + np.arange(T), lay.off_theta + bus_t([idx[net.reference_bus]]), 1.0),
+    ], nbt + nft + T, n)
+    b_eq = np.concatenate([(load - gen).ravel(), np.zeros(nft + T)])
 
     # ---- inequalities -------------------------------------------------
-    rows, cols, vals, rhs = [], [], [], []
-    r = 0
-    # epigraph: S+ <= C+ and S- <= C- wherever the budget allows S > 0
-    for i in range(nb):
-        for t in range(T):
-            if cap_p[i, t] > 0:
-                add(r, lay.sp(i, t), 1.0)
-                add(r, lay.cp(i), -1.0)
-                rhs.append(0.0)
-                r += 1
-            if cap_m[i, t] > 0:
-                add(r, lay.sm(i, t), 1.0)
-                add(r, lay.cm(i), -1.0)
-                rhs.append(0.0)
-                r += 1
+    # epigraph: S+ <= C+ and S- <= C- wherever the budget allows S > 0, the
+    # C+ row first per (bus, t): entry j of the interleaved mask is (bus, t)
+    # j // 2 on side j % 2 (0: S+ and C+, 1: S- and C-)
+    j = np.flatnonzero(np.stack([cap_p > 0, cap_m > 0], axis=-1))
+    r = len(j)
+    blocks = [(np.arange(r), lay.off_sp + j % 2 * nbt + j // 2, 1.0),
+              (np.arange(r), lay.off_cp + j % 2 * nb + j // 2 // T, -1.0)]
+    rhs = [np.zeros(r)]
 
-    # optional net-export limits per (bus, t)
+    # optional net-export limits per (bus, t): lw <= G - L + S+ - S- <= up
     up, lw = scenario.budgets.export_upper, scenario.budgets.export_lower
-    if up is not None:
-        for i in range(nb):
-            for t in range(T):
-                if math.isfinite(up[i, t]):
-                    add(r, lay.sp(i, t), 1.0)
-                    add(r, lay.sm(i, t), -1.0)
-                    rhs.append(up[i, t] - gen[i, t] + load[i, t])
-                    r += 1
-    if lw is not None:
-        for i in range(nb):
-            for t in range(T):
-                if math.isfinite(lw[i, t]):
-                    add(r, lay.sp(i, t), -1.0)
-                    add(r, lay.sm(i, t), 1.0)
-                    rhs.append(gen[i, t] - load[i, t] - lw[i, t])
-                    r += 1
+    for sign, bound in ((1.0, up), (-1.0, lw)):
+        if bound is None:
+            continue
+        it = np.flatnonzero(np.isfinite(bound))
+        rows = r + np.arange(len(it))
+        blocks += [(rows, lay.off_sp + it, sign), (rows, lay.off_sm + it, -sign)]
+        rhs.append((up - gen + load if sign > 0 else gen - load - lw).ravel()[it])
+        r += len(it)
 
-    # linearized ratio floor per shed:
+    # linearized ratio floor per shed, the last k rows (build_p2_step):
     #   -sum S+ + tau * sum S-  <=  sum G - tau * sum L
-    for (k, members), tau in zip(scenario.partition.sheds, x_min):
-        member_rows = [idx[b] for b in members]
-        for i in member_rows:
-            for t in range(T):
-                add(r, lay.sp(i, t), -1.0)
-                if tau > 0:
-                    add(r, lay.sm(i, t), tau)
-        rhs.append(gen[member_rows].sum() - tau * load[member_rows].sum())
-        r += 1
+    sheds = shed_rows(scenario)
+    it = bus_t([i for members in sheds for i in members])
+    k_of = np.repeat(np.arange(len(sheds)), [len(members) * T for members in sheds])
+    pos = x_min[k_of] > 0  # at tau = 0 the S- entry is left out
+    blocks += [(r + k_of, lay.off_sp + it, -1.0),
+               (r + k_of[pos], lay.off_sm + it[pos], x_min[k_of[pos]])]
+    rhs.append([gen[m].sum() - tau * load[m].sum() for m, tau in zip(sheds, x_min)])
+    r += len(sheds)
 
-    G_ineq = sp.csr_matrix((vals, (rows, cols)), shape=(r, n)) if r else None
-    h_ineq = np.array(rhs) if r else None
+    G_ineq = _csr(blocks, r, n) if r else None
+    h_ineq = np.concatenate(rhs) if r else None
 
     # ---- objective -----------------------------------------------------
     q = np.zeros(n)
-    q[lay.off_cp:lay.off_cm] = scenario.weights.alpha
-    q[lay.off_cm:] = scenario.weights.beta
+    q[lay.off_cp:] = np.concatenate([scenario.weights.alpha, scenario.weights.beta])
 
-    prog = QuadProgram(n=n, q_diag=q, c_lin=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
-                       G_ineq=G_ineq, h_ineq=h_ineq, lo=lo, hi=hi)
-    return prog, lay
+    return QuadProgram(n=n, q_diag=q, c_lin=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
+                       G_ineq=G_ineq, h_ineq=h_ineq, lo=lo, hi=hi), lay
 
 
-def build_p3(scenario, tau, check=True):
+def build_p3(scenario, tau):
     """Feasibility form: ratio floor tau for every shed, zero objective."""
     if tau < 0:
         raise BuildError("tau must be nonnegative")
-    prog, lay = build_p1(scenario, float(tau), check=check)
+    prog, lay = build_p1(scenario, float(tau))
     prog.q_diag = np.zeros(prog.n)
     prog.validate()
     return prog
@@ -272,7 +222,7 @@ def build_p2_step(scenario, tau, d_prev):
     constraints of P3 at floor tau.  t is a free variable appended after
     the layout's variables, so the LP is feasible whenever the physics is.
     """
-    prog, lay = build_p1(scenario, float(tau), check=False)
+    prog, lay = build_p1(scenario, float(tau))
     k = len(scenario.partition.sheds)
     m = prog.m_ineq
     # the ratio rows are the last k rows of G (build_p1 adds them last)
@@ -297,15 +247,12 @@ def shed_terms(scenario, layout, x):
     N_k = sum G + sum S+ and D_k = sum L + sum S- over shed k's buses and
     all steps, in partition order; the shed ratio is N_k / D_k.
     """
-    idx = scenario.network.bus_index()
     dec = layout.decode(x)
     gen, load = scenario.profiles.gen, scenario.profiles.load
-    num, den = [], []
-    for _, members in scenario.partition.sheds:
-        rows = [idx[b] for b in members]
-        num.append(float(gen[rows].sum() + dec["sp"][rows].sum()))
-        den.append(float(load[rows].sum() + dec["sm"][rows].sum()))
-    return np.array(num), np.array(den)
+    sheds = shed_rows(scenario)
+    num = np.array([gen[rows].sum() + dec["sp"][rows].sum() for rows in sheds])
+    den = np.array([load[rows].sum() + dec["sm"][rows].sum() for rows in sheds])
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +339,7 @@ def extract_report(scenario, layout, sol, ratio_slack_tol=1e-6):
                            status=sol.status, gap=sol.gap)
 
 
-def evaluate_f_tau(scenario, tau, zeta, check=True):
+def evaluate_f_tau(scenario, tau, zeta):
     """Parametric sweep objective: tau minus scaled optimal capacity cost.
 
     Returns (value, report, status), status being solve_qp's; value is
@@ -400,7 +347,7 @@ def evaluate_f_tau(scenario, tau, zeta, check=True):
     """
     if zeta <= 0:
         raise BuildError("zeta must be positive")
-    prog, lay = build_p1(scenario, float(tau), check=check)
+    prog, lay = build_p1(scenario, float(tau))
     sol = solve_qp(prog)
     if sol.status != "optimal":
         return -INF, None, sol.status

@@ -8,7 +8,8 @@ the algorithm that solve_p2 replaced; the P4 oracle solves every point of
 both sweeps, the algorithm that solve_p4's bound-and-prune replaced.  The
 feasibility oracle is the phase-1 elastic LP that the solver's Farkas
 certificate replaced, solved by HiGHS; farkas_ok checks such a
-certificate from the program's data alone.
+certificate from the program's data alone.  The P1 oracle is the builder
+that build_p1's index-array assembly replaced: one nonzero at a time.
 """
 
 import itertools
@@ -20,8 +21,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from energyshed.policy import PolicyConfig
-from energyshed.problems import build_p3, evaluate_f_tau
-from energyshed.qpcore import FEAS_TOL, check_feasibility
+from energyshed.problems import VariableLayout, build_p3, evaluate_f_tau
+from energyshed.qpcore import FEAS_TOL, QuadProgram, check_feasibility
 
 
 def best_ratio_series(gen, load, cap_plus, export_limit=None):
@@ -134,7 +135,7 @@ def bisection_p2(scenario, cfg=None):
     trace = []
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
-        ok = check_feasibility(build_p3(scenario, mid, check=False)) == "feasible"
+        ok = check_feasibility(build_p3(scenario, mid)) == "feasible"
         trace.append((mid, ok))
         if ok:
             lo = mid
@@ -169,7 +170,7 @@ def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
             key = round(float(tau), 12)
             seen.add(key)
             if key not in cache:
-                cache[key] = evaluate_f_tau(scenario, key, zeta, check=False)[1]
+                cache[key] = evaluate_f_tau(scenario, key, zeta)[1]
             rep = cache[key]
             val = -np.inf if rep is None else key - rep.cost / zeta
             if val > best_val:
@@ -245,3 +246,137 @@ def farkas_ok(p, sol):
         resid = resid + p.G_ineq.T @ z
         phi += float(p.h_ineq[fin] @ z[fin])
     return phi < 0 and float(np.abs(resid).max(initial=0.0)) <= 1e-6 * -phi
+
+
+def loop_build_p1(scenario, x_min):
+    """P1 as build_p1 compiles it, assembled one nonzero at a time.
+
+    Loops over bus x step and branch x step, with the rows in build_p1's
+    order: balance, flow law, reference angle; then epigraph (C+ before C-
+    per (bus, t)), export upper, export lower and the ratio rows.  The
+    scenario is taken as valid.
+    """
+    net = scenario.network
+    nb, ne, T = net.n_bus, net.n_branch, scenario.time_grid.steps
+    k = len(scenario.partition.sheds)
+    x_min = np.broadcast_to(np.asarray(x_min, dtype=float), (k,))
+    lay = VariableLayout(n_bus=nb, n_branch=ne, steps=T, x_min=tuple(x_min))
+    n = lay.n_vars
+    idx = net.bus_index()
+    gen, load = scenario.profiles.gen, scenario.profiles.load
+    cap_p, cap_m = scenario.budgets.cap_plus, scenario.budgets.cap_minus
+
+    def theta(i, t):
+        return lay.off_theta + i * T + t
+
+    def flow(e, t):
+        return lay.off_flow + e * T + t
+
+    def s_plus(i, t):
+        return lay.off_sp + i * T + t
+
+    def s_minus(i, t):
+        return lay.off_sm + i * T + t
+
+    lo = np.full(n, -np.inf)
+    hi = np.full(n, np.inf)
+    for e, br in enumerate(net.branches):
+        for t in range(T):
+            lo[flow(e, t)] = -br.flow_limit
+            hi[flow(e, t)] = br.flow_limit
+    for i in range(nb):
+        for t in range(T):
+            lo[s_plus(i, t)] = lo[s_minus(i, t)] = 0.0
+            hi[s_plus(i, t)] = cap_p[i, t]
+            hi[s_minus(i, t)] = cap_m[i, t]
+        lo[lay.off_cp + i] = lo[lay.off_cm + i] = 0.0
+        if max(cap_p[i]) == 0:
+            hi[lay.off_cp + i] = 0.0
+        if max(cap_m[i]) == 0:
+            hi[lay.off_cm + i] = 0.0
+
+    rows, cols, vals, rhs = [], [], [], []
+
+    def add(row, col, val):
+        rows.append(row)
+        cols.append(col)
+        vals.append(val)
+
+    r = 0
+    bal_row = {}
+    for i in range(nb):
+        for t in range(T):
+            add(r, s_plus(i, t), 1.0)
+            add(r, s_minus(i, t), -1.0)
+            bal_row[(i, t)] = r
+            rhs.append(load[i, t] - gen[i, t])
+            r += 1
+    for e, br in enumerate(net.branches):
+        fi, ti = idx[br.from_bus], idx[br.to_bus]
+        for t in range(T):
+            add(bal_row[(fi, t)], flow(e, t), -1.0)
+            add(bal_row[(ti, t)], flow(e, t), 1.0)
+    for e, br in enumerate(net.branches):
+        fi, ti = idx[br.from_bus], idx[br.to_bus]
+        for t in range(T):
+            add(r, flow(e, t), br.reactance)
+            add(r, theta(fi, t), -1.0)
+            add(r, theta(ti, t), 1.0)
+            rhs.append(0.0)
+            r += 1
+    for t in range(T):
+        add(r, theta(idx[net.reference_bus], t), 1.0)
+        rhs.append(0.0)
+        r += 1
+    A_eq = sp.csr_matrix((vals, (rows, cols)), shape=(r, n))
+    b_eq = np.array(rhs)
+
+    rows, cols, vals, rhs = [], [], [], []
+    r = 0
+    for i in range(nb):
+        for t in range(T):
+            if cap_p[i, t] > 0:
+                add(r, s_plus(i, t), 1.0)
+                add(r, lay.off_cp + i, -1.0)
+                rhs.append(0.0)
+                r += 1
+            if cap_m[i, t] > 0:
+                add(r, s_minus(i, t), 1.0)
+                add(r, lay.off_cm + i, -1.0)
+                rhs.append(0.0)
+                r += 1
+    up, lw = scenario.budgets.export_upper, scenario.budgets.export_lower
+    if up is not None:
+        for i in range(nb):
+            for t in range(T):
+                if math.isfinite(up[i, t]):
+                    add(r, s_plus(i, t), 1.0)
+                    add(r, s_minus(i, t), -1.0)
+                    rhs.append(up[i, t] - gen[i, t] + load[i, t])
+                    r += 1
+    if lw is not None:
+        for i in range(nb):
+            for t in range(T):
+                if math.isfinite(lw[i, t]):
+                    add(r, s_plus(i, t), -1.0)
+                    add(r, s_minus(i, t), 1.0)
+                    rhs.append(gen[i, t] - load[i, t] - lw[i, t])
+                    r += 1
+    for (_, members), tau in zip(scenario.partition.sheds, x_min):
+        member_rows = [idx[b] for b in members]
+        for i in member_rows:
+            for t in range(T):
+                add(r, s_plus(i, t), -1.0)
+                if tau > 0:
+                    add(r, s_minus(i, t), tau)
+        rhs.append(gen[member_rows].sum() - tau * load[member_rows].sum())
+        r += 1
+    G_ineq = sp.csr_matrix((vals, (rows, cols)), shape=(r, n)) if r else None
+    h_ineq = np.array(rhs) if r else None
+
+    q = np.zeros(n)
+    for i in range(nb):
+        q[lay.off_cp + i] = scenario.weights.alpha[i]
+        q[lay.off_cm + i] = scenario.weights.beta[i]
+    return QuadProgram(n=n, q_diag=q, c_lin=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
+                       G_ineq=G_ineq, h_ineq=h_ineq, lo=lo, hi=hi)

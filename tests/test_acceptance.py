@@ -165,10 +165,8 @@ def test_criterion_3_bisection_budget(capsys):
     res = solve_p2(scen)  # default config: epsilon 1e-6 on [0, 1]
     _TRACES.append(("criterion3", res.trace))
     eps = 1e-6
-    below = check_feasibility(build_p3(scen, res.tau_star - 2 * eps,
-                                       check=False))
-    above = check_feasibility(build_p3(scen, res.tau_star + 2 * eps,
-                                       check=False))
+    below = check_feasibility(build_p3(scen, res.tau_star - 2 * eps))
+    above = check_feasibility(build_p3(scen, res.tau_star + 2 * eps))
     _verdict(capsys, 3,
              f"{res.probes} probes (<= 20), tau* - 2e is {below}, "
              f"tau* + 2e is {above}",
@@ -269,7 +267,7 @@ def test_criterion_9_scale(capsys, scenario_medium):
     times = []
     for tau in np.linspace(0.0, 1.0, 101):
         t0 = time.monotonic()
-        evaluate_f_tau(scenario_medium, float(tau), 1.0, check=False)
+        evaluate_f_tau(scenario_medium, float(tau), 1.0)
         times.append(time.monotonic() - t0)
     total = sum(times)
     _verdict(capsys, 9,

@@ -123,6 +123,25 @@ class TestExitCodes:
         assert "non-finite profile value" in capsys.readouterr().err
         assert (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("cmd", [["validate"], ["solve-p1", "--x-min", "0.5"]])
+    def test_non_finite_case_token(self, scenario_file, tmp_path, capsys, cmd):
+        (tmp_path / "tiny.m").write_text(CASE.replace("2  3  0  0.05", "2  3  0  nan"))
+        assert run([cmd[0], "--scenario", scenario_file, *cmd[1:]], tmp_path / "o") == 2
+        assert "non-finite numeric token 'nan' in mpc.branch (line 11, col 14)" \
+            in capsys.readouterr().err
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["exit_code"] == 2
+
+    def test_duplicate_shed_bus(self, scenario_file, tmp_path, capsys):
+        cfg = json.loads(open(scenario_file).read())
+        cfg["partition"] = [[1, 1]]
+        bad = os.path.join(os.path.dirname(scenario_file), "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(cfg, fh)
+        assert run(["baseline", "--scenario", bad], tmp_path / "o") == 2
+        assert "[duplicate-shed-bus]" in capsys.readouterr().err
+        assert (tmp_path / "o" / "manifest.json").exists()
+
     @pytest.mark.parametrize("key, value, where", [
         ("cap_plus", {"1": None}, "cap_plus: bus 1"),
         ("cap_plus", [1, 2], "cap_plus"),

@@ -92,6 +92,18 @@ class TestCaseParser:
             parse_matpower_case(text)
         assert exc.value.line is not None
 
+    @pytest.mark.parametrize("old, new, line, col", [
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = inf;", 4, 15),
+        ("3  1  50.0", "3  1  NaN", 8, 11),
+        ("0.05  0    0", "nan  0    0", 12, 14),
+        ("0.02  0  250", "0.02  0  -Inf", 11, 23),
+    ], ids=["base-mva", "bus-load", "branch-reactance", "branch-rate"])
+    def test_non_finite_token_reports_line_and_column(self, old, new, line, col):
+        text = TRIVIAL_CASE.replace(old, new)
+        with pytest.raises(CaseParseError, match="non-finite numeric token") as exc:
+            parse_matpower_case(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
     def test_round_trip(self):
         net = parse_matpower_case(TRIVIAL_CASE)
         again = parse_matpower_case(serialize_network_case(net))
@@ -244,6 +256,13 @@ class TestValidation:
     def test_unknown_shed_bus(self):
         s = self.build(partition=[(0, (1, 2, 3, 99))])
         assert "unknown-shed-bus" in validate_scenario(s).codes()
+
+    def test_duplicate_shed_bus(self):
+        s = self.build(partition=[(0, (1, 2, 3, 1))])
+        bad = [v for v in validate_scenario(s).violations
+               if v.code == "duplicate-shed-bus"]
+        assert [v.location for v in bad] == ["shed 0"]
+        assert "[1]" in bad[0].message
 
     def test_sheds_not_disjoint(self):
         s = self.build(partition=[(0, (1, 2)), (1, (2, 3))])

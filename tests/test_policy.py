@@ -66,9 +66,9 @@ class TestBisection:
         res = solve_p2(s, cfg)
         eps = cfg.epsilon
         assert check_feasibility(
-            build_p3(s, res.tau_star - 2 * eps, check=False)) == "feasible"
+            build_p3(s, res.tau_star - 2 * eps)) == "feasible"
         assert check_feasibility(
-            build_p3(s, res.tau_star + 2 * eps, check=False)) == "infeasible"
+            build_p3(s, res.tau_star + 2 * eps)) == "infeasible"
 
     def test_infeasible_bracket_start(self):
         # no budget anywhere and an unbalanced base case
@@ -338,9 +338,9 @@ class TestParetoFront:
         for threads in (1, 2):
             calls = []
 
-            def counting(scenario, tau, zeta, check=True):
+            def counting(scenario, tau, zeta):
                 calls.append(tau)
-                return evaluate(scenario, tau, zeta, check=check)
+                return evaluate(scenario, tau, zeta)
 
             monkeypatch.setattr(policy, "evaluate_f_tau", counting)
             fronts[threads] = pareto_front(s, cfg, threads=threads)
@@ -422,11 +422,11 @@ class TestAgainstFullSweep:
         evaluate = policy.evaluate_f_tau
         calls = []
 
-        def failing(scenario, tau, zeta, check=True):
+        def failing(scenario, tau, zeta):
             calls.append(tau)
             if tau >= 0.6:
                 return -math.inf, None, status
-            return evaluate(scenario, tau, zeta, check=check)
+            return evaluate(scenario, tau, zeta)
 
         monkeypatch.setattr(policy, "evaluate_f_tau", failing)
         res = solve_p4(sink_scenario(cap1=2.0), 1e9, PolicyConfig(mesh=0.1))

@@ -1,10 +1,14 @@
 """Problem compilation, reports and conservation/refinement properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_line_scenario
-from energyshed.netmodel import baseline_ratio
+from energyshed.netmodel import Branch, baseline_ratio
 from energyshed.problems import (
     BuildError,
     VariableLayout,
@@ -18,6 +22,7 @@ from energyshed.problems import (
     shed_terms,
 )
 from energyshed.qpcore import check_feasibility, solve_qp
+from oracles import loop_build_p1
 
 
 def two_bus_scenario(**kw):
@@ -44,18 +49,16 @@ class TestLayout:
         assert prog.n == 11
         assert lay.n_vars == 11
 
-    def test_index_maps_are_bijective(self):
+    def test_decode_blocks_partition_the_variables(self):
         _, lay = build_p1(chain_scenario(), 0.0)
-        seen = set()
-        for i in range(lay.n_bus):
-            for t in range(lay.steps):
-                seen.update({lay.theta(i, t), lay.sp(i, t), lay.sm(i, t)})
-        for e in range(lay.n_branch):
-            for t in range(lay.steps):
-                seen.add(lay.flow(e, t))
-        for i in range(lay.n_bus):
-            seen.update({lay.cp(i), lay.cm(i)})
-        assert seen == set(range(lay.n_vars))
+        dec = lay.decode(np.arange(lay.n_vars))
+        T = lay.steps
+        shapes = {"theta": (lay.n_bus, T), "flow": (lay.n_branch, T),
+                  "sp": (lay.n_bus, T), "sm": (lay.n_bus, T),
+                  "cp": (lay.n_bus,), "cm": (lay.n_bus,)}
+        assert {k: v.shape for k, v in dec.items()} == shapes
+        flat = np.concatenate([v.ravel() for v in dec.values()])
+        assert np.sort(flat).tolist() == list(range(lay.n_vars))
 
     def test_negative_floor_rejected(self):
         with pytest.raises(BuildError, match="nonnegative"):
@@ -157,7 +160,7 @@ class TestP2Step:
     def test_rows_are_p3_scaled_plus_t(self):
         s = chain_scenario(partition=[(0, (1, 2)), (1, (3,))])
         d_prev = np.array([2.0, 4.0])
-        p3 = build_p3(s, 0.4, check=False)
+        p3 = build_p3(s, 0.4)
         step, lay = build_p2_step(s, 0.4, d_prev)
         k = len(d_prev)
         assert step.n == p3.n + 1 == lay.n_vars + 1
@@ -267,3 +270,69 @@ class TestExportLimits:
         floors = [2.0, 0.2]
         assert check_feasibility(build_p1(free, floors)[0]) == "feasible"
         assert check_feasibility(build_p1(capped, floors)[0]) == "infeasible"
+
+
+def assert_same_program(p, q):
+    """Exact equality of every array of two programs, dtypes included."""
+    for name in ("A_eq", "G_ineq"):
+        a, b = getattr(p, name), getattr(q, name)
+        assert a.shape == b.shape
+        for part in ("indptr", "indices", "data"):
+            x, y = getattr(a, part), getattr(b, part)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
+    for name in ("b_eq", "h_ineq", "lo", "hi", "q_diag", "c_lin"):
+        x, y = getattr(p, name), getattr(q, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@st.composite
+def line_scenarios(draw):
+    """Chain scenarios with zero-budget buses, parallel branches and export
+    limits whose entries may be +-inf (no limit)."""
+    n = draw(st.integers(2, 5))
+    steps = draw(st.integers(1, 4))
+    vals = st.floats(0.0, 3.0)
+
+    def arr(elems):
+        cells = draw(st.lists(elems, min_size=n * steps, max_size=n * steps))
+        return np.array(cells, dtype=float).reshape(n, steps)
+
+    load = arr(vals)
+    load[:, 0] += 0.5  # every shed has demand
+    budget = st.one_of(st.just(0.0), vals)
+    up = arr(st.one_of(st.just(np.inf), st.floats(0.0, 2.0)))
+    lw = arr(st.one_of(st.just(-np.inf), st.floats(-2.0, 0.0)))
+    cut = draw(st.integers(1, n))  # sheds: buses 1..cut and cut+1..n
+    partition = [(0, tuple(range(1, cut + 1)))]
+    if cut < n:
+        partition.append((1, tuple(range(cut + 1, n + 1))))
+    s = make_line_scenario(
+        arr(vals), load, arr(budget), arr(budget),
+        alpha=draw(st.lists(vals, min_size=n, max_size=n)),
+        partition=partition, flow_limit=draw(st.sampled_from([np.inf, 0.7])),
+        export_upper=draw(st.sampled_from([None, up])),
+        export_lower=draw(st.sampled_from([None, lw])), flex_everywhere=True)
+    extra = draw(st.lists(st.tuples(st.integers(1, n - 1), st.floats(0.01, 0.5)),
+                          max_size=3))
+    branches = s.network.branches + tuple(Branch(i, i + 1, x, 1.5) for i, x in extra)
+    s = dataclasses.replace(s, network=dataclasses.replace(s.network, branches=branches))
+    k = len(partition)
+    x_min = draw(st.one_of(st.just(0.0), st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k)))
+    return s, x_min
+
+
+class TestAgainstLoopBuilder:
+    """build_p1 compiles exactly the program the per-entry builder does."""
+
+    @pytest.mark.parametrize("name", ["low", "medium", "high"])
+    def test_bundled(self, request, name):
+        s = request.getfixturevalue(f"scenario_{name}")
+        k = len(s.partition.sheds)
+        for x_min in (0.0, 0.5, np.linspace(0.0, 0.9, k)):
+            assert_same_program(build_p1(s, x_min)[0], loop_build_p1(s, x_min))
+
+    @given(line_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_line_scenarios(self, case):
+        s, x_min = case
+        assert_same_program(build_p1(s, x_min)[0], loop_build_p1(s, x_min))

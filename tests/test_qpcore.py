@@ -306,8 +306,8 @@ class TestPhase1Oracle:
     @pytest.mark.parametrize("floor", [0.5, 0.999, 1.5, 3.0])
     def test_bundled_floors(self, request, name, floor):
         scenario = request.getfixturevalue(f"scenario_{name}")
-        for p in (build_p1(scenario, floor, check=False)[0],
-                  build_p3(scenario, floor, check=False)):
+        for p in (build_p1(scenario, floor)[0],
+                  build_p3(scenario, floor)):
             want = phase1_feasibility(p)
             assert want == ("feasible" if floor < 1.0 else "infeasible")
             assert check_feasibility(p) == want
@@ -348,9 +348,9 @@ class TestStatusPins:
         # single-shed line cases: the closed form is the exact frontier
         s, bound = single_shed_scenario(np.random.default_rng(seed), limited)
         feasible = delta < 0
-        p3 = build_p3(s, bound + delta, check=False)
+        p3 = build_p3(s, bound + delta)
         assert check_feasibility(p3) == ("feasible" if feasible else "infeasible")
-        for p in (p3, build_p1(s, bound + delta, check=False)[0]):
+        for p in (p3, build_p1(s, bound + delta)[0]):
             sol = solve_qp(p)
             assert sol.status == ("optimal" if feasible else "infeasible")
             if not feasible:
@@ -360,7 +360,7 @@ class TestStatusPins:
     @pytest.mark.parametrize("delta", [-1e-3, 1e-3])
     def test_duplicated_and_scaled_rows(self, edit, delta):
         s, bound = single_shed_scenario(np.random.default_rng(5), False)
-        p, _ = build_p1(s, bound + delta, check=False)
+        p, _ = build_p1(s, bound + delta)
         kind = edit.split("-")[1]
         q = duplicate_row(p, kind, 0) if edit.startswith("dup") else scale_row(p, kind, 0, 1e6)
         sol = solve_qp(q)
