@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -171,15 +172,6 @@ class ValidationReport:
 # MATPOWER case subset parser
 # ---------------------------------------------------------------------------
 
-def _strip_comments(text):
-    """Remove % comments, preserving line structure for error reporting."""
-    lines = []
-    for raw in text.splitlines():
-        cut = raw.find("%")
-        lines.append(raw if cut < 0 else raw[:cut])
-    return lines
-
-
 def _number(tok, where, line, ln):
     """float(tok) if finite, else a CaseParseError located at tok in line
     (0-based line number ln)."""
@@ -194,55 +186,48 @@ def _number(tok, where, line, ln):
     return val
 
 
-def _extract_matrix(lines, key):
-    """Pull the numeric rows of ``mpc.<key> = [ ... ];`` from the file.
-
-    Returns (rows, None) where rows is a list of (line_no, [floats]),
-    or (None, None) if the field is absent.
-    """
-    start = None
-    for ln, line in enumerate(lines):
-        if line.replace(" ", "").replace("\t", "").startswith(f"mpc.{key}=["):
-            start = ln
-            break
-    if start is None:
-        return None
-    rows = []
-    # content after the opening bracket on the same line
-    body_first = lines[start].split("[", 1)[1]
-    pending = [(start, body_first)]
-    closed = False
-    for ln in range(start + 1, len(lines)):
-        if closed:
-            break
-        pending.append((ln, lines[ln]))
-    for ln, chunk in pending:
-        if closed:
-            break
-        if "]" in chunk:
-            chunk = chunk.split("]", 1)[0]
-            closed = True
-        for stmt in chunk.split(";"):
-            stmt = stmt.strip()
-            if not stmt:
-                continue
-            vals = [_number(tok, f"mpc.{key}", lines[ln], ln) for tok in stmt.split()]
-            rows.append((ln + 1, vals))
-    if not closed:
-        raise CaseParseError(f"unterminated matrix mpc.{key}", line=start + 1)
-    return rows
-
-
-def _extract_scalar(lines, key):
-    for ln, line in enumerate(lines):
-        squashed = line.replace(" ", "").replace("\t", "")
-        if squashed.startswith(f"mpc.{key}="):
-            rhs = squashed.split("=", 1)[1].rstrip(";")
-            return _number(rhs, f"mpc.{key}", line, ln)
-    return None
-
-
 KNOWN_CASE_FIELDS = {"baseMVA", "bus", "branch", "version"}
+_ASSIGN = re.compile(r"\s*mpc\.(\w+)\s*=\s*(.*)")
+
+
+def _scan_case(text, warn):
+    """One pass over the ``mpc.<name> = <rhs>`` statements of a case file.
+
+    Returns {"baseMVA": float, "bus"/"branch": [(line number, [floats])]}
+    for the fields present, and calls warn(name) on any unknown name.
+    Text after % is a comment; a matrix runs from its [ to the next ], one
+    row per ;-separated statement, and a row never spans lines.
+    """
+    fields, rows = {}, None  # rows: those of the open matrix
+    for ln, line in enumerate(text.splitlines()):
+        line = body = line.split("%", 1)[0]
+        if rows is None:
+            m = _ASSIGN.match(line)
+            if m is None or m[1] == "version":
+                continue
+            name, body = m.groups()
+            if name not in KNOWN_CASE_FIELDS:
+                if warn is not None:
+                    warn(name)
+                continue
+            if name in fields:
+                raise CaseParseError(f"mpc.{name} assigned twice", line=ln + 1)
+            if name == "baseMVA":
+                fields[name] = _number(body.rstrip(" \t;"), f"mpc.{name}", line, ln)
+                continue
+            if not body.startswith("["):
+                raise CaseParseError(f"mpc.{name} must be a [ ... ] matrix", line=ln + 1)
+            rows = fields[name] = []
+            start, body = ln, body[1:]
+        for stmt in body.split("]", 1)[0].split(";"):
+            if stmt.strip():
+                rows.append((ln + 1, [_number(tok, f"mpc.{name}", line, ln)
+                                      for tok in stmt.split()]))
+        if "]" in body:
+            rows = None
+    if rows is not None:
+        raise CaseParseError(f"unterminated matrix mpc.{name}", line=start + 1)
+    return fields
 
 
 def parse_matpower_case(text, warn=None):
@@ -253,25 +238,15 @@ def parse_matpower_case(text, warn=None):
     Bus column 1 is the id, column 2 the type (3 = reference); branch columns
     1, 2, 4, 6 are from, to, reactance, rateA.  rateA = 0 means unlimited.
     """
-    lines = _strip_comments(text)
-
-    for ln, line in enumerate(lines):
-        squashed = line.replace(" ", "").replace("\t", "")
-        if squashed.startswith("mpc.") and "=" in squashed:
-            name = squashed[4:].split("=", 1)[0].split("(")[0]
-            if name not in KNOWN_CASE_FIELDS and warn is not None:
-                warn(name)
-
-    base_mva = _extract_scalar(lines, "baseMVA")
+    fields = _scan_case(text, warn)
+    base_mva = fields.get("baseMVA")
     if base_mva is None:
         raise CaseParseError("missing mpc.baseMVA")
     if base_mva <= 0:
         raise CaseParseError("baseMVA must be positive")
-
-    bus_rows = _extract_matrix(lines, "bus")
+    bus_rows = fields.get("bus")
     if not bus_rows:
         raise CaseParseError("missing or empty mpc.bus matrix")
-    branch_rows = _extract_matrix(lines, "branch") or []
 
     buses = []
     seen = set()
@@ -279,8 +254,9 @@ def parse_matpower_case(text, warn=None):
     for ln, row in bus_rows:
         if len(row) < 2:
             raise CaseParseError("bus row needs at least id and type columns", line=ln)
-        bid = int(row[0])
-        btype = int(row[1])
+        bid, btype = map(int, row[:2])
+        if [bid, btype] != row[:2]:
+            raise CaseParseError(f"non-integer bus id or type {row[:2]}", line=ln)
         pd = row[2] if len(row) > 2 else 0.0
         if bid in seen:
             raise CaseParseError(f"duplicate bus id {bid}", line=ln)
@@ -292,10 +268,12 @@ def parse_matpower_case(text, warn=None):
         ref = min(seen)
 
     branches = []
-    for ln, row in branch_rows:
+    for ln, row in fields.get("branch", []):
         if len(row) < 6:
             raise CaseParseError("branch row needs at least 6 columns", line=ln)
-        f, t = int(row[0]), int(row[1])
+        f, t = map(int, row[:2])
+        if [f, t] != row[:2]:
+            raise CaseParseError(f"non-integer branch end buses {row[:2]}", line=ln)
         x = row[3]
         rate_a = row[5]
         if f not in seen or t not in seen:
@@ -344,12 +322,13 @@ def parse_profiles(text, network, grid):
     idx = network.bus_index()
     gen = np.zeros((network.n_bus, grid.steps))
     load = np.zeros((network.n_bus, grid.steps))
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))  # a lone \r ends a line
     header = next(reader, None)
     if header is None:
         return Profiles(gen=gen, load=load)
     if len(header) != grid.steps + 2:
         raise ProfileError(f"header has {len(header)} columns, expected {grid.steps + 2}")
+    seen = set()
     for ln, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -364,7 +343,13 @@ def parse_profiles(text, network, grid):
         kind = row[1].strip().lower()
         if kind not in ("load", "gen"):
             raise ProfileError(f"row {ln}: kind must be 'load' or 'gen', got {row[1]!r}")
-        vals = np.array([float(v) for v in row[2:]])
+        if (bid, kind) in seen:
+            raise ProfileError(f"row {ln}: second {kind} row for bus {bid}")
+        seen.add((bid, kind))
+        try:
+            vals = np.array([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise ProfileError(f"row {ln}: invalid profile value ({exc})") from None
         if not np.isfinite(vals).all():
             raise ProfileError(f"row {ln}: non-finite profile value")
         if (vals < 0).any():
@@ -565,34 +550,36 @@ def validate_scenario(scenario):
             rep.add("nonpositive-reactance",
                     f"branch {br.from_bus}-{br.to_bus} has reactance {br.reactance}")
 
-    for mat, label in ((scenario.profiles.gen, "gen"), (scenario.profiles.load, "load")):
-        if mat.shape != (n, steps):
-            rep.add("profile-shape", f"{label} profile shape {mat.shape} != ({n}, {steps})")
-        elif (mat < 0).any():
-            rep.add("negative-profile", f"negative {label} profile values")
-
+    # every array is (n_bus, steps); an absent export limit is None, and
+    # +-inf in one means "no limit", so only NaN is malformed there
     b = scenario.budgets
-    for mat, label in ((b.cap_plus, "cap_plus"), (b.cap_minus, "cap_minus")):
-        if mat.shape != (n, steps):
-            rep.add("budget-shape", f"{label} shape {mat.shape} != ({n}, {steps})")
+    shaped = set()
+    for kind, label, mat in (("profile", "gen profile", scenario.profiles.gen),
+                             ("profile", "load profile", scenario.profiles.load),
+                             ("budget", "cap_plus", b.cap_plus),
+                             ("budget", "cap_minus", b.cap_minus),
+                             ("export-limit", "export_limits.upper", b.export_upper),
+                             ("export-limit", "export_limits.lower", b.export_lower)):
+        if mat is None:
             continue
-        _add_non_finite(rep, "non-finite-budget", label, ~np.isfinite(mat), net)
-        if (mat < 0).any():
-            rep.add("negative-budget", f"negative {label} entries")
-    if scenario.flex_only_at_load_buses and b.cap_plus.shape == (n, steps):
+        if mat.shape != (n, steps):
+            rep.add(f"{kind}-shape", f"{label} shape {mat.shape} != ({n}, {steps})")
+            continue
+        shaped.add(label)
+        limit = kind == "export-limit"
+        _add_non_finite(rep, f"non-finite-{kind}", label,
+                        np.isnan(mat) if limit else ~np.isfinite(mat), net)
+        if not limit and (mat < 0).any():
+            rep.add(f"negative-{kind}", f"negative {label} entries")
+    if scenario.flex_only_at_load_buses and {"cap_plus", "cap_minus"} <= shaped:
         for i, bus in enumerate(net.buses):
             if not bus.has_load and (b.cap_plus[i].any() or b.cap_minus[i].any()):
                 rep.add("flex-at-load-free-bus",
                         f"bus {bus.id} has flexibility budget but no load",
                         location=f"bus {bus.id}")
-    # +-inf in an export limit means "no limit"; only NaN is malformed
-    for mat, label in ((b.export_upper, "export_limits.upper"),
-                       (b.export_lower, "export_limits.lower")):
-        if mat is not None and mat.shape == (n, steps):
-            _add_non_finite(rep, "non-finite-export-limit", label, np.isnan(mat), net)
-    if b.export_upper is not None and b.export_lower is not None:
-        if (b.export_lower > b.export_upper).any():
-            rep.add("export-bounds-crossed", "export lower bound exceeds upper bound")
+    if ({"export_limits.upper", "export_limits.lower"} <= shaped
+            and (b.export_lower > b.export_upper).any()):
+        rep.add("export-bounds-crossed", "export lower bound exceeds upper bound")
 
     for vec, label in ((scenario.weights.alpha, "alpha"), (scenario.weights.beta, "beta")):
         if vec.shape != (n,):
@@ -630,7 +617,7 @@ def validate_scenario(scenario):
             rep.add("disconnected-shed", f"shed {k} induces a disconnected subgraph",
                     location=f"shed {k}")
         member_rows = [idx[i] for i in nodes if i in idx]
-        if scenario.profiles.load.shape == (n, steps):
+        if "load profile" in shaped:
             demand = scenario.profiles.load[member_rows].sum()
             if demand <= 0:
                 rep.add("zero-demand-shed", f"shed {k} has zero total demand",

@@ -176,8 +176,7 @@ def _grid(lo, hi, step):
     return pts[pts <= hi + 1e-9 * step]
 
 
-def solve_p4(scenario, zeta, cfg=None, baseline_cost=None,
-             cost_cache=None, threads=1):
+def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     """Maximize f(tau) = tau - cost(tau)/zeta over a mesh of floors.
 
     The answer is that of a full sweep: the best mesh point of
@@ -200,16 +199,15 @@ def solve_p4(scenario, zeta, cfg=None, baseline_cost=None,
     floor reads the same from either sweep.  The trace lists the swept
     floors that were solved.  The cost solves do not depend on zeta, so an
     external cost_cache ({round(tau, 12): _Floor(status, report, lower)})
-    may be shared across calls; the baseline, when this call solves it,
-    enters it as the floor 0.0.
+    may be shared across calls.  Its floor 0.0 is the baseline, the
+    normalization anchor; this call solves it if the cache lacks it.
     """
     if not 0 < zeta < INF:
         raise PolicyInputError("zeta must be positive and finite")
     cfg = cfg or PolicyConfig()
     cache = cost_cache if cost_cache is not None else {}
-    if baseline_cost is None:
-        baseline_cost, report0 = baseline(scenario)
-        cache.setdefault(0.0, _solved(report0, "optimal"))
+    if 0.0 not in cache:
+        cache[0.0] = _solved(baseline(scenario)[1], "optimal")
     visited = set()  # the rounded taus this call sweeps
 
     def solve_one(tau):
@@ -263,7 +261,7 @@ def solve_p4(scenario, zeta, cfg=None, baseline_cost=None,
     trace = [(t, value(t), INF if cache[t].report is None else cache[t].report.cost)
              for t in sorted(visited) if t in cache]
     return PolicyResult(tau_star=tau_star, kind="p4", cost=report.cost,
-                        cost_normalized=_normalize(report.cost, baseline_cost),
+                        cost_normalized=_normalize(report.cost, cache[0.0].report.cost),
                         report=report, trace=trace, f_star=float(best_val),
                         probes=len(trace))
 
@@ -279,11 +277,9 @@ def pareto_front(scenario, cfg=None, threads=1):
     grid = list(cfg.zeta_grid)
     if not grid or any(z <= 0 for z in grid) or sorted(grid) != grid:
         raise PolicyInputError("zeta grid must be nonempty, positive and ascending")
-    cost0, report0 = baseline(scenario)
-    cache = {0.0: _solved(report0, "optimal")}
+    cache = {}
     front = []
     for zeta in grid:
-        res = solve_p4(scenario, zeta, cfg, baseline_cost=cost0,
-                       cost_cache=cache, threads=threads)
+        res = solve_p4(scenario, zeta, cfg, cost_cache=cache, threads=threads)
         front.append((zeta, res.tau_star, res.cost_normalized))
     return front

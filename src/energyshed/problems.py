@@ -193,15 +193,13 @@ def build_p1(scenario, x_min):
     rhs.append([gen[m].sum() - tau * load[m].sum() for m, tau in zip(sheds, x_min)])
     r += len(sheds)
 
-    G_ineq = _csr(blocks, r, n) if r else None
-    h_ineq = np.concatenate(rhs) if r else None
-
     # ---- objective -----------------------------------------------------
     q = np.zeros(n)
     q[lay.off_cp:] = np.concatenate([scenario.weights.alpha, scenario.weights.beta])
 
     return QuadProgram(n=n, q_diag=q, c_lin=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
-                       G_ineq=G_ineq, h_ineq=h_ineq, lo=lo, hi=hi), lay
+                       G_ineq=_csr(blocks, r, n), h_ineq=np.concatenate(rhs),
+                       lo=lo, hi=hi), lay
 
 
 def build_p3(scenario, tau):
@@ -298,7 +296,10 @@ class OperationReport:
         return out.getvalue()
 
 
-def extract_report(scenario, layout, sol, ratio_slack_tol=1e-6):
+RATIO_SLACK_TOL = 1e-6  # relative slack of extract_report's floor check
+
+
+def extract_report(scenario, layout, sol):
     """Decode a solution and recompute the domain quantities from it."""
     if sol.status != "optimal":
         raise BuildError(f"cannot report on a solution with status {sol.status!r}")
@@ -311,7 +312,7 @@ def extract_report(scenario, layout, sol, ratio_slack_tol=1e-6):
     for (k, _), tau, n_k, d_k in zip(scenario.partition.sheds, layout.x_min,
                                      num.tolist(), den.tolist()):
         ratio = n_k / d_k
-        if ratio < tau - ratio_slack_tol * (1.0 + tau):
+        if ratio < tau - RATIO_SLACK_TOL * (1.0 + tau):
             raise BuildError(f"shed {k} ratio {ratio} violates floor {tau}")
         shed_ratios[k] = ratio
 

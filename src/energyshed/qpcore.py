@@ -31,7 +31,7 @@ side: the threshold a phase-1 elastic program would apply to its optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,56 +46,60 @@ class QPError(ValueError):
 
 @dataclass
 class QuadProgram:
+    """The program of the module docstring, in one canonical form.
+
+    Both constraint blocks are always present: an absent A_eq or G_ineq is
+    a (0, n) CSR matrix with an empty right-hand side.  An absent bound is
+    infinite.  validate rejects NaN anywhere, an infinite entry in any
+    other field, lo = +inf and hi = -inf.
+    """
     n: int
     q_diag: np.ndarray
     c_lin: np.ndarray
     A_eq: sp.csr_matrix | None = None
-    b_eq: np.ndarray | None = None
+    b_eq: np.ndarray = ()
     G_ineq: sp.csr_matrix | None = None
-    h_ineq: np.ndarray | None = None
+    h_ineq: np.ndarray = ()
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
 
     def __post_init__(self):
         self.q_diag = np.asarray(self.q_diag, dtype=float)
         self.c_lin = np.asarray(self.c_lin, dtype=float)
-        if self.lo is None:
-            self.lo = np.full(self.n, -INF)
-        if self.hi is None:
-            self.hi = np.full(self.n, INF)
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        if self.A_eq is not None:
-            self.A_eq = sp.csr_matrix(self.A_eq)
-            self.b_eq = np.asarray(self.b_eq, dtype=float)
-        if self.G_ineq is not None:
-            self.G_ineq = sp.csr_matrix(self.G_ineq)
-            self.h_ineq = np.asarray(self.h_ineq, dtype=float)
+        self.A_eq = sp.csr_matrix((0, self.n) if self.A_eq is None else self.A_eq)
+        self.b_eq = np.asarray(self.b_eq, dtype=float)
+        self.G_ineq = sp.csr_matrix((0, self.n) if self.G_ineq is None else self.G_ineq)
+        self.h_ineq = np.asarray(self.h_ineq, dtype=float)
+        self.lo = np.asarray(np.full(self.n, -INF) if self.lo is None else self.lo, dtype=float)
+        self.hi = np.asarray(np.full(self.n, INF) if self.hi is None else self.hi, dtype=float)
         self.validate()
 
     @property
     def m_eq(self):
-        return 0 if self.A_eq is None else self.A_eq.shape[0]
+        return self.A_eq.shape[0]
 
     @property
     def m_ineq(self):
-        return 0 if self.G_ineq is None else self.G_ineq.shape[0]
+        return self.G_ineq.shape[0]
 
     def validate(self):
-        if self.q_diag.shape != (self.n,) or self.c_lin.shape != (self.n,):
-            raise QPError("q_diag/c_lin dimension mismatch")
+        if any(v.shape != (self.n,) for v in (self.q_diag, self.c_lin, self.lo, self.hi)):
+            raise QPError("q_diag/c_lin/lo/hi dimension mismatch")
+        if self.A_eq.shape[1] != self.n or self.b_eq.shape != (self.m_eq,):
+            raise QPError("equality system dimension mismatch")
+        if self.G_ineq.shape[1] != self.n or self.h_ineq.shape != (self.m_ineq,):
+            raise QPError("inequality system dimension mismatch")
+        for name, v in (("q_diag", self.q_diag), ("c_lin", self.c_lin),
+                        ("A_eq", self.A_eq.data), ("b_eq", self.b_eq),
+                        ("G_ineq", self.G_ineq.data), ("h_ineq", self.h_ineq)):
+            if not np.isfinite(v).all():
+                raise QPError(f"non-finite entry in {name}")
+        if not ((self.lo < INF).all() and (self.hi > -INF).all()):
+            raise QPError("bounds must not be NaN, lo = +inf or hi = -inf")
         if (self.q_diag < 0).any():
             raise QPError("q_diag must be nonnegative (convexity)")
-        if self.lo.shape != (self.n,) or self.hi.shape != (self.n,):
-            raise QPError("bound dimension mismatch")
         if (self.lo > self.hi).any():
             raise QPError("lower bound exceeds upper bound")
-        if self.A_eq is not None and (self.A_eq.shape[1] != self.n
-                                      or self.b_eq.shape != (self.A_eq.shape[0],)):
-            raise QPError("equality system dimension mismatch")
-        if self.G_ineq is not None and (self.G_ineq.shape[1] != self.n
-                                        or self.h_ineq.shape != (self.G_ineq.shape[0],)):
-            raise QPError("inequality system dimension mismatch")
 
     def objective(self, x):
         return float(self.q_diag @ (x * x) + self.c_lin @ x)
@@ -103,22 +107,19 @@ class QuadProgram:
     def to_json_dict(self):
         """Documented debug dump for external cross-checking."""
         def mat(m):
-            if m is None:
-                return None
             coo = m.tocoo()
             return {"shape": list(coo.shape), "row": coo.row.tolist(),
                     "col": coo.col.tolist(), "data": coo.data.tolist()}
 
         def vec(v):
-            return None if v is None else [None if math.isinf(x) else x for x in v]
+            return [None if math.isinf(x) else x for x in v]
 
         return {
             "n": self.n,
             "q_diag": self.q_diag.tolist(),
             "c_lin": self.c_lin.tolist(),
-            "A_eq": mat(self.A_eq), "b_eq": None if self.b_eq is None else self.b_eq.tolist(),
-            "G_ineq": mat(self.G_ineq),
-            "h_ineq": None if self.h_ineq is None else self.h_ineq.tolist(),
+            "A_eq": mat(self.A_eq), "b_eq": self.b_eq.tolist(),
+            "G_ineq": mat(self.G_ineq), "h_ineq": self.h_ineq.tolist(),
             "lo": vec(self.lo), "hi": vec(self.hi),
         }
 
@@ -132,8 +133,8 @@ class Solution:
     status: str  # optimal | infeasible | max_iter
     iterations: int
     # on status infeasible the dual fields hold a Farkas ray of max norm 1
-    duals_lo: np.ndarray = field(default=None, repr=False)
-    duals_hi: np.ndarray = field(default=None, repr=False)
+    duals_lo: np.ndarray = field(repr=False)
+    duals_hi: np.ndarray = field(repr=False)
     # s'z at the returned iterate: the duality gap.  With zero residuals
     # the optimum lies in [objective - gap, objective].
     gap: float = math.nan
@@ -175,10 +176,8 @@ def _ipm(p):
     bvar = np.concatenate([hi_idx, lo_idx])
     sgn = np.concatenate([np.ones(hi_idx.size), -np.ones(lo_idx.size)])
     mi = mg + bvar.size
-    G = p.G_ineq if mg else sp.csr_matrix((0, n))
-    A = p.A_eq if me else sp.csr_matrix((0, n))
-    b = p.b_eq if me else np.zeros(0)
-    h = np.concatenate([p.h_ineq if mg else np.zeros(0), p.hi[hi_idx], -p.lo[lo_idx]])
+    G, A, b = p.G_ineq, p.A_eq, p.b_eq
+    h = np.concatenate([p.h_ineq, p.hi[hi_idx], -p.lo[lo_idx]])
     q2 = 2.0 * p.q_diag
     c = p.c_lin
     GT = G.T.tocsr()
@@ -192,9 +191,8 @@ def _ipm(p):
         """Sum the bound-row values v onto the variables they bound."""
         return np.bincount(bvar, v, minlength=n)
 
-    h_fin = np.where(np.isfinite(h), h, 0.0)
     data_scale = 1.0 + max(np.abs(c).max(initial=0.0),
-                           np.abs(h_fin).max(initial=0.0),
+                           np.abs(h).max(initial=0.0),
                            np.abs(b).max(initial=0.0))
 
     # starting point: shifted so all slacks and duals are comfortably interior
@@ -223,11 +221,11 @@ def _ipm(p):
     # the frontier the duals grow by a constant ray each step, while the
     # iterate keeps the objective's gradient in its R.
     feas_thr = FEAS_TOL * (1.0 + max(np.abs(b).max(initial=0.0),
-                                     np.abs(h_fin[:mg]).max(initial=0.0)))
+                                     np.abs(p.h_ineq).max(initial=0.0)))
 
     def farkas(yw, zw):
         """(yw, zw) scaled to |(yw, zw)|_inf = 1 if it is a ray, else None."""
-        phi = float(b @ yw + h_fin @ zw)
+        phi = float(b @ yw + h @ zw)
         w_norm = max(np.abs(yw).max(initial=0.0), zw.max(initial=0.0))
         if not -phi > feas_thr * w_norm:
             return None
@@ -337,9 +335,7 @@ def check_feasibility(p):
     """
     if (p.lo > p.hi).any():
         return "infeasible"
-    sol = _ipm(QuadProgram(n=p.n, q_diag=np.zeros(p.n), c_lin=np.zeros(p.n),
-                           A_eq=p.A_eq, b_eq=p.b_eq, G_ineq=p.G_ineq,
-                           h_ineq=p.h_ineq, lo=p.lo, hi=p.hi))
+    sol = _ipm(replace(p, q_diag=np.zeros(p.n), c_lin=np.zeros(p.n)))
     if sol.status == "max_iter":
         raise QPError(f"feasibility undecided after {sol.iterations} iterations")
     return "feasible" if sol.status == "optimal" else "infeasible"
@@ -350,41 +346,20 @@ def kkt_residuals(p, s):
     x = np.asarray(s.x, dtype=float)
     if x.shape != (p.n,):
         raise QPError("solution dimension mismatch")
-    grad = 2.0 * p.q_diag * x + p.c_lin
-    if p.m_eq:
-        grad = grad + p.A_eq.T @ s.duals_eq
-    if p.m_ineq:
-        grad = grad + p.G_ineq.T @ s.duals_ineq
-    if s.duals_hi is not None:
-        grad = grad + s.duals_hi - s.duals_lo
-    scale = 1.0 + max(np.abs(p.c_lin).max(initial=0.0), np.abs(x).max(initial=0.0))
-    r_stat = float(np.abs(grad).max(initial=0.0)) / scale
 
-    feas_terms = [0.0]
-    comp_terms = [0.0]
-    if p.m_eq:
-        feas_terms.append(np.abs(p.A_eq @ x - p.b_eq).max(initial=0.0))
-    if p.m_ineq:
-        slack = p.h_ineq - p.G_ineq @ x
-        feas_terms.append(float(np.maximum(-slack, 0.0).max(initial=0.0)))
-        comp_terms.append(float(np.abs(s.duals_ineq * slack).max(initial=0.0)))
-    fin_hi = np.isfinite(p.hi)
-    fin_lo = np.isfinite(p.lo)
-    if fin_hi.any():
-        feas_terms.append(float(np.maximum(x[fin_hi] - p.hi[fin_hi], 0.0).max(initial=0.0)))
-        if s.duals_hi is not None:
-            comp_terms.append(float(np.abs(s.duals_hi[fin_hi]
-                                           * (p.hi[fin_hi] - x[fin_hi])).max(initial=0.0)))
-    if fin_lo.any():
-        feas_terms.append(float(np.maximum(p.lo[fin_lo] - x[fin_lo], 0.0).max(initial=0.0)))
-        if s.duals_lo is not None:
-            comp_terms.append(float(np.abs(s.duals_lo[fin_lo]
-                                           * (x[fin_lo] - p.lo[fin_lo])).max(initial=0.0)))
-    rhs_scale = 1.0 + max(
-        np.abs(p.b_eq).max(initial=0.0) if p.m_eq else 0.0,
-        np.abs(p.h_ineq[np.isfinite(p.h_ineq)]).max(initial=0.0) if p.m_ineq else 0.0,
-        np.abs(x).max(initial=0.0),
-    )
-    r_feas = max(feas_terms) / rhs_scale
-    r_comp = max(comp_terms) / (1.0 + abs(p.objective(x)))
-    return r_stat, r_feas, r_comp
+    def worst(v):
+        return float(np.abs(v).max(initial=0.0))
+
+    grad = (2.0 * p.q_diag * x + p.c_lin + p.A_eq.T @ s.duals_eq
+            + p.G_ineq.T @ s.duals_ineq + s.duals_hi - s.duals_lo)
+    r_stat = worst(grad) / (1.0 + max(worst(p.c_lin), worst(x)))
+    slack = p.h_ineq - p.G_ineq @ x
+    # x - hi and lo - x are -inf, so no violation, at an infinite bound
+    r_feas = max(worst(p.A_eq @ x - p.b_eq), worst(np.maximum(-slack, 0.0)),
+                 worst(np.maximum(x - p.hi, 0.0)), worst(np.maximum(p.lo - x, 0.0)))
+    fin_hi, fin_lo = np.isfinite(p.hi), np.isfinite(p.lo)
+    r_comp = max(worst(s.duals_ineq * slack),
+                 worst(s.duals_hi[fin_hi] * (p.hi[fin_hi] - x[fin_hi])),
+                 worst(s.duals_lo[fin_lo] * (x[fin_lo] - p.lo[fin_lo])))
+    rhs_scale = 1.0 + max(worst(p.b_eq), worst(p.h_ineq), worst(x))
+    return r_stat, r_feas / rhs_scale, r_comp / (1.0 + abs(p.objective(x)))

@@ -249,12 +249,9 @@ def test_criterion_7_aggregation_ordering(capsys, scenario_low,
 
 
 def test_criterion_8_p4_limits(capsys, scenario_medium):
-    cost0, _ = baseline(scenario_medium)
     cache = {}
-    hi = solve_p4(scenario_medium, 1e9, baseline_cost=cost0,
-                  cost_cache=cache)
-    lo = solve_p4(scenario_medium, 1e-9, baseline_cost=cost0,
-                  cost_cache=cache)
+    hi = solve_p4(scenario_medium, 1e9, cost_cache=cache)
+    lo = solve_p4(scenario_medium, 1e-9, cost_cache=cache)
     p2 = solve_p2(scenario_medium)
     gap = abs(hi.tau_star - p2.tau_star)
     _verdict(capsys, 8,

@@ -28,6 +28,7 @@ from energyshed.netmodel import (
     total_demand,
     validate_scenario,
 )
+from energyshed.problems import BuildError, build_p1
 
 TRIVIAL_CASE = """
 function mpc = case3
@@ -104,6 +105,38 @@ class TestCaseParser:
             parse_matpower_case(text)
         assert (exc.value.line, exc.value.col) == (line, col)
 
+    @pytest.mark.parametrize("old, new", [
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 100;  % system base"),
+        ("mpc.bus = [", "mpc.bus=["),
+        ("mpc.branch = [\n    1  2  0  0.02  0  250  0  0  0  0  1  -360  360;\n"
+         "    2  3  0  0.05  0    0  0  0  0  0  1  -360  360;\n];",
+         "mpc.branch = [1 2 0 0.02 0 250 0 0 0 0 1 -360 360; "
+         "2 3 0 0.05 0 0 0 0 0 0 1 -360 360];"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA\t=\t100 ;"),
+    ], ids=["comment-after-base-mva", "no-blanks", "one-line-matrix", "tabs"])
+    def test_equivalent_spellings(self, old, new):
+        assert old in TRIVIAL_CASE
+        text = TRIVIAL_CASE.replace(old, new)
+        assert parse_matpower_case(text) == parse_matpower_case(TRIVIAL_CASE)
+
+    @pytest.mark.parametrize("old, new, match, line", [
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 1 00;",
+         r"invalid numeric token '1 00' in mpc.baseMVA \(line 4, col 15\)", 4),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 100;\nmpc.baseMVA = 10;",
+         "mpc.baseMVA assigned twice", 5),
+        ("mpc.bus = [", "mpc.bus = zeros(3, 13);\n", "must be a", 5),
+        ("360;\n];", "360;\n", "unterminated matrix mpc.branch", 10),
+        ("2  1   0.0", "2.5  1   0.0", r"non-integer bus id or type \[2.5, 1.0\]", 7),
+        ("3  1  50.0", "3  1.5  50.0", "non-integer bus id or type", 8),
+        ("2  3  0  0.05", "2  3.5  0  0.05", r"non-integer branch end buses \[2.0, 3.5\]", 12),
+    ], ids=["base-mva-blank", "assigned-twice", "bus-not-matrix", "unterminated",
+            "bus-id", "bus-type", "branch-end"])
+    def test_malformed_statements(self, old, new, match, line):
+        assert old in TRIVIAL_CASE
+        with pytest.raises(CaseParseError, match=match) as exc:
+            parse_matpower_case(TRIVIAL_CASE.replace(old, new))
+        assert exc.value.line == line
+
     def test_round_trip(self):
         net = parse_matpower_case(TRIVIAL_CASE)
         again = parse_matpower_case(serialize_network_case(net))
@@ -159,10 +192,19 @@ class TestProfiles:
         ("1,load,-1,1,1", "negative"),
         ("1,load,nan,1,1", "row 2: non-finite"),
         ("3,gen,1,inf,1", "row 2: non-finite"),
+        ("1,load,1,abc,1", r"row 2: invalid profile value \(.*'abc'\)"),
+        ("1,load,1, ,1", "row 2: invalid profile value"),
+        ("1,load,1,1,1\n3,gen,1,1,1\n1,LOAD,2,2,2", "row 4: second load row for bus 1"),
     ])
     def test_bad_rows(self, row, msg):
         with pytest.raises(ProfileError, match=msg):
             parse_profiles(f"bus,kind,t1,t2,t3\n{row}\n", self.net, self.grid)
+
+    def test_carriage_returns_end_lines(self):
+        text = "bus,kind,t1,t2,t3\r1,load,1.0,2.0,3.0\r\n3,gen,0.5,0.5,0.5\r"
+        p = parse_profiles(text, self.net, self.grid)
+        assert p.load[0].tolist() == [1.0, 2.0, 3.0]
+        assert p.gen[2].tolist() == [0.5, 0.5, 0.5]
 
 
 class TestGraph:
@@ -241,6 +283,30 @@ class TestValidation:
         bad = [v for v in validate_scenario(s).violations
                if v.code == "non-finite-export-limit"]
         assert [v.location for v in bad] == ["bus 2"]
+
+    @pytest.mark.parametrize("shapes", [((3, 3), None), (None, (2, 2)),
+                                        ((3, 3), (3, 1))],
+                             ids=["upper", "lower", "both"])
+    def test_export_limit_shape(self, shapes):
+        upper, lower = (None if shape is None else np.zeros(shape) for shape in shapes)
+        s = self.build(export_upper=upper, export_lower=lower)
+        rep = validate_scenario(s)
+        bad = [v.message for v in rep.violations if v.code == "export-limit-shape"]
+        assert len(bad) == sum(shape is not None for shape in shapes)
+        assert "export-bounds-crossed" not in rep.codes()
+        with pytest.raises(BuildError, match="export-limit-shape"):
+            build_p1(s, 0.5)
+
+    @pytest.mark.parametrize("field, value", [("gen", np.nan), ("load", np.nan),
+                                              ("load", np.inf)])
+    def test_non_finite_profile(self, field, value):
+        s = self.build()
+        getattr(s.profiles, field)[2, 1] = value
+        bad = [v for v in validate_scenario(s).violations
+               if v.code == "non-finite-profile"]
+        assert [v.location for v in bad] == ["bus 3"]
+        with pytest.raises(BuildError, match="non-finite-profile"):
+            build_p1(s, 0.5)
 
     def test_flex_at_load_free_bus(self):
         # bus 2 has no load but a positive budget

@@ -104,6 +104,52 @@ class TestValidation:
         d = p.to_json_dict()
         assert d["lo"] == [0.0, None]
         assert d["hi"] == [None, 2.0]
+        # absent blocks are dumped as empty ones
+        empty = {"shape": [0, 2], "row": [], "col": [], "data": []}
+        assert (d["A_eq"], d["b_eq"], d["G_ineq"], d["h_ineq"]) == (empty, [], empty, [])
+
+    @pytest.mark.parametrize("field", ["q_diag", "c_lin", "A_eq", "b_eq", "G_ineq",
+                                       "h_ineq", "lo", "hi"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, field, value):
+        kw = dict(q_diag=[1.0, 1.0], c_lin=[0.0, 0.0],
+                  A_eq=sp.csr_matrix([[1.0, 1.0]]), b_eq=[1.0],
+                  G_ineq=sp.csr_matrix([[1.0, -1.0]]), h_ineq=[1.0],
+                  lo=[0.0, 0.0], hi=[2.0, 2.0])
+        if field in ("A_eq", "G_ineq"):
+            kw[field] = sp.csr_matrix([[1.0, value]])
+        else:
+            kw[field] = np.array(kw[field])
+            kw[field][0] = value
+        # an infinite bound on its own side means "no bound"
+        if (field, value) in (("lo", -np.inf), ("hi", np.inf)):
+            assert solve_qp(qp(**kw)).status == "optimal"
+            return
+        with pytest.raises(QPError, match="non-finite|bounds must not"):
+            qp(**kw)
+        # data edited after construction: solve_qp re-validates and refuses
+        p = qp(q_diag=[1.0, 1.0], c_lin=[0.0, 0.0], lo=[0.0, 0.0], hi=[2.0, 2.0])
+        if field in ("q_diag", "c_lin", "lo", "hi"):
+            getattr(p, field)[0] = value
+            with pytest.raises(QPError, match="non-finite|bounds must not"):
+                solve_qp(p)
+
+    @pytest.mark.parametrize("rows", ["eq", "ineq", "none"])
+    def test_absent_blocks_solve_as_empty_blocks(self, rows):
+        kw = dict(q_diag=[1.0, 2.0], c_lin=[-4.0, 1.0], lo=[0.0, -np.inf],
+                  hi=[1.0, np.inf])
+        if rows == "eq":
+            kw.update(A_eq=sp.csr_matrix([[1.0, 1.0]]), b_eq=[0.5])
+        if rows == "ineq":
+            kw.update(G_ineq=sp.csr_matrix([[1.0, -1.0]]), h_ineq=[0.25])
+        empty = dict(A_eq=sp.csr_matrix((0, 2)), b_eq=np.zeros(0),
+                     G_ineq=sp.csr_matrix((0, 2)), h_ineq=np.zeros(0))
+        a = solve_qp(qp(**kw))
+        b = solve_qp(qp(**{**empty, **kw}))
+        assert a.status == b.status == "optimal"
+        assert (a.iterations, a.objective, a.gap) == (b.iterations, b.objective, b.gap)
+        for name in ("x", "duals_eq", "duals_ineq", "duals_lo", "duals_hi"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestAgainstLinprog:
