@@ -24,11 +24,11 @@ from .netmodel import (
     ScenarioError,
     TimeGrid,
     ValidationReport,
-    baseline_ratio,
     load_scenario,
     parse_matpower_case,
     parse_profiles,
-    total_demand,
+    profiles_to_csv,
+    serialize_network_case,
     validate_scenario,
 )
 from .policy import (
@@ -47,7 +47,6 @@ from .problems import (
     OperationReport,
     VariableLayout,
     build_p1,
-    build_p3,
     evaluate_f_tau,
     extract_report,
 )
@@ -61,13 +60,13 @@ __all__ = [
     "required_budget",
     "Branch", "Bus", "CaseParseError", "CostWeights", "FlexBudget",
     "Network", "Partition", "ProfileError", "Profiles", "Scenario",
-    "ScenarioError", "TimeGrid", "ValidationReport", "baseline_ratio",
+    "ScenarioError", "TimeGrid", "ValidationReport",
     "load_scenario", "parse_matpower_case", "parse_profiles",
-    "total_demand", "validate_scenario",
+    "profiles_to_csv", "serialize_network_case", "validate_scenario",
     "InfeasibleError", "PolicyConfig", "PolicyError", "PolicyInputError",
     "PolicyResult",
     "baseline", "pareto_front", "solve_p2", "solve_p4",
     "BuildError", "OperationReport", "VariableLayout", "build_p1",
-    "build_p3", "evaluate_f_tau", "extract_report",
+    "evaluate_f_tau", "extract_report",
     "QuadProgram", "Solution", "check_feasibility", "solve_qp",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end: scenario loading, command dispatch, file outputs.
 
 Every run writes its outputs plus a ``manifest.json`` recording input
-hashes, the resolved configuration and library versions, so a result file
-can always be traced back to the exact inputs that produced it.
+hashes, the resolved configuration, library versions and the warnings
+printed while loading, so a result file can always be traced back to the
+exact inputs that produced it.
 
 Exit codes: 0 success, 2 validation failure, 3 infeasible, 4 solver failure.
 """
@@ -69,6 +70,13 @@ class _Run:
         self.out_dir = args.out
         os.makedirs(self.out_dir, exist_ok=True)
         self.outputs = []
+        self.warnings = []
+
+    def warn(self, field):
+        """load_scenario's warn callback: report an ignored case field."""
+        msg = f"mpc.{field} ignored: not in the supported case subset"
+        print(f"warning: {msg}", file=sys.stderr)
+        self.warnings.append(msg)
 
     def write_text(self, name, text):
         path = os.path.join(self.out_dir, name)
@@ -108,6 +116,7 @@ class _Run:
                 "python": platform.python_version(),
                 "scipy": scipy.__version__,
             },
+            "warnings": self.warnings,
         }
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w") as fh:
@@ -121,8 +130,8 @@ def _print_violations(rep):
               file=sys.stderr)
 
 
-def _load_checked(path):
-    scenario = load_scenario(path)
+def _load_checked(run):
+    scenario = load_scenario(run.args.scenario, run.warn)
     rep = validate_scenario(scenario)
     if not rep.ok:
         _print_violations(rep)
@@ -214,7 +223,7 @@ def _policy_config(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(run):
-    scenario = load_scenario(run.args.scenario)
+    scenario = load_scenario(run.args.scenario, run.warn)
     rep = validate_scenario(scenario)
     run.write_json("validation.json", {
         "ok": rep.ok,
@@ -232,7 +241,7 @@ def _cmd_analyze(run):
                     ("--max-budget", run.args.max_budget)):
         if not 0 < v < math.inf:
             raise AnalysisError(f"{flag} must be positive and finite, got {v!r}")
-    scenario = _load_checked(run.args.scenario)
+    scenario = _load_checked(run)
     hours = scenario.time_grid.step_hours
     base = scenario.network.base_mva
     grid = [round(b, 10) for b in
@@ -282,7 +291,7 @@ def _resolve_x_min(scenario, raw):
 
 
 def _cmd_solve_p1(run):
-    scenario = _load_checked(run.args.scenario)
+    scenario = _load_checked(run)
     x_min = _resolve_x_min(scenario, _x_min_value(run.args.x_min))
     prog, lay = build_p1(scenario, x_min)
     sol = solve_qp(prog)
@@ -297,14 +306,14 @@ def _cmd_solve_p1(run):
 
 
 def _cmd_baseline(run):
-    scenario = _load_checked(run.args.scenario)
+    scenario = _load_checked(run)
     cost, report = baseline(scenario)
     _emit_report(run, scenario, report, _report_summary(scenario, report))
     return EXIT_OK
 
 
 def _cmd_design_p2(run):
-    scenario = _load_checked(run.args.scenario)
+    scenario = _load_checked(run)
     res = solve_p2(scenario, _policy_config(run.args))
     _emit_table(run, "trace", "trace", ["tau", "feasible"], res.trace)
     summary = _report_summary(scenario, res.report, {
@@ -317,7 +326,7 @@ def _cmd_design_p2(run):
 
 
 def _cmd_design_p4(run):
-    scenario = _load_checked(run.args.scenario)
+    scenario = _load_checked(run)
     res = solve_p4(scenario, run.args.zeta, _policy_config(run.args),
                    threads=run.args.threads)
     _emit_table(run, "trace", "trace", ["tau", "f_tau", "cost"], res.trace)
@@ -333,7 +342,7 @@ def _cmd_design_p4(run):
 
 
 def _cmd_pareto(run):
-    scenario = _load_checked(run.args.scenario)
+    scenario = _load_checked(run)
     front = pareto_front(scenario, _policy_config(run.args),
                          threads=run.args.threads)
     _emit_table(run, "front", "front",

@@ -137,7 +137,6 @@ class Scenario:
     weights: CostWeights
     partition: Partition
     flex_only_at_load_buses: bool = True
-    name: str = "scenario"
 
 
 @dataclass
@@ -464,8 +463,12 @@ def scenario_files(path, cfg):
     return files
 
 
-def load_scenario(path, name=None):
-    """Load a scenario config JSON (paths resolved relative to the file)."""
+def load_scenario(path, warn=None):
+    """Load a scenario config JSON (paths resolved relative to the file).
+
+    warn, if given, is called as in parse_matpower_case on each case-file
+    field outside the supported subset.
+    """
     with open(path) as fh:
         cfg = json.load(fh)
     files = scenario_files(path, cfg)
@@ -474,7 +477,7 @@ def load_scenario(path, name=None):
         raise ScenarioError(f"{path}: missing required key(s): {', '.join(missing)}")
 
     with open(files["case_file"]) as fh:
-        network = parse_matpower_case(fh.read())
+        network = parse_matpower_case(fh.read(), warn)
 
     with open(files["profiles_file"]) as fh:
         profile_text = fh.read()
@@ -519,7 +522,6 @@ def load_scenario(path, name=None):
         weights=weights,
         partition=_partition(cfg["partition"]),
         flex_only_at_load_buses=flex_only,
-        name=name or os.path.splitext(os.path.basename(path))[0],
     )
 
 
@@ -638,22 +640,3 @@ def shed_rows(scenario):
     network.buses (the rows of the profile and budget arrays)."""
     idx = scenario.network.bus_index()
     return [[idx[b] for b in members] for _, members in scenario.partition.sheds]
-
-
-def _shed_rows(scenario, shed_id):
-    return dict(zip(scenario.partition.shed_ids(), shed_rows(scenario)))[shed_id]
-
-
-def total_demand(scenario, shed_id):
-    """Total load energy of a shed over the window (per-unit energy)."""
-    rows = _shed_rows(scenario, shed_id)
-    return float(scenario.profiles.load[rows].sum() * scenario.time_grid.step_hours)
-
-
-def baseline_ratio(scenario, shed_id):
-    """Pre-flexibility ratio of shed generation energy to demand energy."""
-    rows = _shed_rows(scenario, shed_id)
-    demand = scenario.profiles.load[rows].sum()
-    if demand <= 0:
-        raise ScenarioError(f"shed {shed_id} has zero total demand")
-    return float(scenario.profiles.gen[rows].sum() / demand)

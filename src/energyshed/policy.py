@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
@@ -65,13 +64,15 @@ class PolicyConfig:
 @dataclass
 class PolicyResult:
     tau_star: float
-    kind: str                  # "p2" | "p4"
     cost: float
     cost_normalized: float
     report: object
     trace: list                # p2: (tau, t >= 0) per step; p4: (tau, f_tau, cost)
     f_star: float | None = None
-    probes: int = 0
+
+    @property
+    def probes(self):
+        return len(self.trace)
 
 
 def baseline(scenario):
@@ -145,9 +146,9 @@ def solve_p2(scenario, cfg=None):
         raise PolicyError(f"cost solve at tau* failed: status {sol.status}")
     report = extract_report(scenario, lay, sol)
     cost0, _ = baseline(scenario)
-    return PolicyResult(tau_star=tau_star, kind="p2", cost=sol.objective,
+    return PolicyResult(tau_star=tau_star, cost=sol.objective,
                         cost_normalized=_normalize(sol.objective, cost0),
-                        report=report, trace=trace, probes=len(trace))
+                        report=report, trace=trace)
 
 
 def _normalize(cost, cost0):
@@ -193,7 +194,7 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     whose bound is below the sweep's incumbent, strictly, or is -inf, is
     pruned.  Each round splits the surviving points into runs between
     solved floors and solves the middle point of every run as one batch
-    (concurrently with threads > 1; the batches do not depend on threads).
+    on a pool of threads >= 1 workers (the batches do not depend on threads).
 
     tau_star is the floor rounded to 12 digits, the cache key, so that a
     floor reads the same from either sweep.  The trace lists the swept
@@ -204,6 +205,8 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     """
     if not 0 < zeta < INF:
         raise PolicyInputError("zeta must be positive and finite")
+    if threads < 1:
+        raise PolicyInputError(f"threads must be at least 1, got {threads!r}")
     cfg = cfg or PolicyConfig()
     cache = cost_cache if cost_cache is not None else {}
     if 0.0 not in cache:
@@ -223,7 +226,7 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
             return -INF
         return tau - max((f.lower for f in below), default=-INF) / zeta
 
-    def sweep(points, solve_all, floor_val=-INF):
+    def sweep(points, floor_val=-INF):
         keys = [round(float(t), 12) for t in points]
         visited.update(keys)
         todo = sorted(set(keys))
@@ -236,7 +239,7 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
             solved = sorted(cache)
             runs = [list(run) for _, run in groupby(todo, lambda t: bisect(solved, t))]
             batch = [run[len(run) // 2] for run in runs]
-            cache.update(zip(batch, solve_all(solve_one, batch)))
+            cache.update(zip(batch, pool.map(solve_one, batch)))
         best_tau, best_val = None, -INF
         for tau, key in zip(points, keys):
             val = value(key) if key in cache else -INF
@@ -244,15 +247,14 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
                 best_tau, best_val = tau, val
         return best_tau, best_val
 
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        solve_all = pool.map if pool else map
-        incumbent, best_val = sweep(_grid(cfg.tau_lo, cfg.tau_hi, cfg.mesh), solve_all)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        incumbent, best_val = sweep(_grid(cfg.tau_lo, cfg.tau_hi, cfg.mesh))
         if incumbent is None:
             raise InfeasibleError("all mesh points infeasible")
         step = cfg.mesh / 10.0
         cand, cand_val = sweep(_grid(max(cfg.tau_lo, incumbent - cfg.mesh),
                                      min(cfg.tau_hi, incumbent + cfg.mesh), step),
-                               solve_all, best_val)
+                               best_val)
     if cand_val > best_val:
         incumbent, best_val = cand, cand_val
 
@@ -260,10 +262,9 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     report = cache[tau_star].report
     trace = [(t, value(t), INF if cache[t].report is None else cache[t].report.cost)
              for t in sorted(visited) if t in cache]
-    return PolicyResult(tau_star=tau_star, kind="p4", cost=report.cost,
+    return PolicyResult(tau_star=tau_star, cost=report.cost,
                         cost_normalized=_normalize(report.cost, cache[0.0].report.cost),
-                        report=report, trace=trace, f_star=float(best_val),
-                        probes=len(trace))
+                        report=report, trace=trace, f_star=float(best_val))
 
 
 def pareto_front(scenario, cfg=None, threads=1):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -202,16 +201,6 @@ def build_p1(scenario, x_min):
                        lo=lo, hi=hi), lay
 
 
-def build_p3(scenario, tau):
-    """Feasibility form: ratio floor tau for every shed, zero objective."""
-    if tau < 0:
-        raise BuildError("tau must be nonnegative")
-    prog, lay = build_p1(scenario, float(tau))
-    prog.q_diag = np.zeros(prog.n)
-    prog.validate()
-    return prog
-
-
 def build_p2_step(scenario, tau, d_prev):
     """One step of P2's fractional-programming iteration; (program, layout).
 
@@ -354,27 +343,3 @@ def evaluate_f_tau(scenario, tau, zeta):
         return -INF, None, sol.status
     report = extract_report(scenario, lay, sol)
     return float(tau) - sol.objective / zeta, report, sol.status
-
-
-# ---------------------------------------------------------------------------
-# solution-quality helpers (used by tests and the CLI)
-# ---------------------------------------------------------------------------
-
-def power_balance_residual(scenario, layout, x):
-    """Max over t of |sum_i (G - L + S+ - S-)| at the decoded solution."""
-    dec = layout.decode(x)
-    gen, load = scenario.profiles.gen, scenario.profiles.load
-    tot = (gen - load + dec["sp"] - dec["sm"]).sum(axis=0)
-    return float(np.abs(tot).max())
-
-
-def flow_law_residual(scenario, layout, x):
-    """Max |x_e * flow - angle difference| over branches and steps."""
-    dec = layout.decode(x)
-    idx = scenario.network.bus_index()
-    worst = 0.0
-    for e, br in enumerate(scenario.network.branches):
-        fi, ti = idx[br.from_bus], idx[br.to_bus]
-        res = np.abs(br.reactance * dec["flow"][e] - dec["theta"][fi] + dec["theta"][ti])
-        worst = max(worst, float(res.max()))
-    return worst

@@ -104,25 +104,6 @@ class QuadProgram:
     def objective(self, x):
         return float(self.q_diag @ (x * x) + self.c_lin @ x)
 
-    def to_json_dict(self):
-        """Documented debug dump for external cross-checking."""
-        def mat(m):
-            coo = m.tocoo()
-            return {"shape": list(coo.shape), "row": coo.row.tolist(),
-                    "col": coo.col.tolist(), "data": coo.data.tolist()}
-
-        def vec(v):
-            return [None if math.isinf(x) else x for x in v]
-
-        return {
-            "n": self.n,
-            "q_diag": self.q_diag.tolist(),
-            "c_lin": self.c_lin.tolist(),
-            "A_eq": mat(self.A_eq), "b_eq": self.b_eq.tolist(),
-            "G_ineq": mat(self.G_ineq), "h_ineq": self.h_ineq.tolist(),
-            "lo": vec(self.lo), "hi": vec(self.hi),
-        }
-
 
 @dataclass
 class Solution:
@@ -339,27 +320,3 @@ def check_feasibility(p):
     if sol.status == "max_iter":
         raise QPError(f"feasibility undecided after {sol.iterations} iterations")
     return "feasible" if sol.status == "optimal" else "infeasible"
-
-
-def kkt_residuals(p, s):
-    """Scaled infinity-norm residuals (stationarity, feasibility, complementarity)."""
-    x = np.asarray(s.x, dtype=float)
-    if x.shape != (p.n,):
-        raise QPError("solution dimension mismatch")
-
-    def worst(v):
-        return float(np.abs(v).max(initial=0.0))
-
-    grad = (2.0 * p.q_diag * x + p.c_lin + p.A_eq.T @ s.duals_eq
-            + p.G_ineq.T @ s.duals_ineq + s.duals_hi - s.duals_lo)
-    r_stat = worst(grad) / (1.0 + max(worst(p.c_lin), worst(x)))
-    slack = p.h_ineq - p.G_ineq @ x
-    # x - hi and lo - x are -inf, so no violation, at an infinite bound
-    r_feas = max(worst(p.A_eq @ x - p.b_eq), worst(np.maximum(-slack, 0.0)),
-                 worst(np.maximum(x - p.hi, 0.0)), worst(np.maximum(p.lo - x, 0.0)))
-    fin_hi, fin_lo = np.isfinite(p.hi), np.isfinite(p.lo)
-    r_comp = max(worst(s.duals_ineq * slack),
-                 worst(s.duals_hi[fin_hi] * (p.hi[fin_hi] - x[fin_hi])),
-                 worst(s.duals_lo[fin_lo] * (x[fin_lo] - p.lo[fin_lo])))
-    rhs_scale = 1.0 + max(worst(p.b_eq), worst(p.h_ineq), worst(x))
-    return r_stat, r_feas / rhs_scale, r_comp / (1.0 + abs(p.objective(x)))

@@ -80,7 +80,6 @@ def make_line_scenario(gen, load, cap_plus, cap_minus, *, alpha=None,
         weights=weights,
         partition=Partition(sheds=tuple((k, tuple(m)) for k, m in partition)),
         flex_only_at_load_buses=not flex_everywhere,
-        name="test",
     )
 
 

@@ -10,6 +10,13 @@ feasibility oracle is the phase-1 elastic LP that the solver's Farkas
 certificate replaced, solved by HiGHS; farkas_ok checks such a
 certificate from the program's data alone.  The P1 oracle is the builder
 that build_p1's index-array assembly replaced: one nonzero at a time.
+
+The checks at the end are what the acceptance gates and unit tests
+measure solutions and scenarios with; neither the CLI nor the library
+calls them.  kkt_residuals gives a solve's scaled KKT residuals,
+power_balance_residual and flow_law_residual its conservation and DC
+flow-law errors, build_p3 the zero-objective feasibility form of P1, and
+total_demand and baseline_ratio a shed's demand and pre-flexibility ratio.
 """
 
 import itertools
@@ -20,9 +27,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from energyshed.netmodel import ScenarioError, shed_rows
 from energyshed.policy import PolicyConfig
-from energyshed.problems import VariableLayout, build_p3, evaluate_f_tau
-from energyshed.qpcore import FEAS_TOL, QuadProgram, check_feasibility
+from energyshed.problems import BuildError, VariableLayout, build_p1, evaluate_f_tau
+from energyshed.qpcore import FEAS_TOL, QPError, QuadProgram, check_feasibility
 
 
 def best_ratio_series(gen, load, cap_plus, export_limit=None):
@@ -380,3 +388,80 @@ def loop_build_p1(scenario, x_min):
         q[lay.off_cm + i] = scenario.weights.beta[i]
     return QuadProgram(n=n, q_diag=q, c_lin=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
                        G_ineq=G_ineq, h_ineq=h_ineq, lo=lo, hi=hi)
+
+
+# ---------------------------------------------------------------------------
+# solution checks, the feasibility form and shed aggregates
+# ---------------------------------------------------------------------------
+
+def kkt_residuals(p, s):
+    """Scaled infinity-norm residuals (stationarity, feasibility, complementarity)."""
+    x = np.asarray(s.x, dtype=float)
+    if x.shape != (p.n,):
+        raise QPError("solution dimension mismatch")
+
+    def worst(v):
+        return float(np.abs(v).max(initial=0.0))
+
+    grad = (2.0 * p.q_diag * x + p.c_lin + p.A_eq.T @ s.duals_eq
+            + p.G_ineq.T @ s.duals_ineq + s.duals_hi - s.duals_lo)
+    r_stat = worst(grad) / (1.0 + max(worst(p.c_lin), worst(x)))
+    slack = p.h_ineq - p.G_ineq @ x
+    # x - hi and lo - x are -inf, so no violation, at an infinite bound
+    r_feas = max(worst(p.A_eq @ x - p.b_eq), worst(np.maximum(-slack, 0.0)),
+                 worst(np.maximum(x - p.hi, 0.0)), worst(np.maximum(p.lo - x, 0.0)))
+    fin_hi, fin_lo = np.isfinite(p.hi), np.isfinite(p.lo)
+    r_comp = max(worst(s.duals_ineq * slack),
+                 worst(s.duals_hi[fin_hi] * (p.hi[fin_hi] - x[fin_hi])),
+                 worst(s.duals_lo[fin_lo] * (x[fin_lo] - p.lo[fin_lo])))
+    rhs_scale = 1.0 + max(worst(p.b_eq), worst(p.h_ineq), worst(x))
+    return r_stat, r_feas / rhs_scale, r_comp / (1.0 + abs(p.objective(x)))
+
+
+def build_p3(scenario, tau):
+    """Feasibility form: ratio floor tau for every shed, zero objective."""
+    if tau < 0:
+        raise BuildError("tau must be nonnegative")
+    prog, lay = build_p1(scenario, float(tau))
+    prog.q_diag = np.zeros(prog.n)
+    prog.validate()
+    return prog
+
+
+def power_balance_residual(scenario, layout, x):
+    """Max over t of |sum_i (G - L + S+ - S-)| at the decoded solution."""
+    dec = layout.decode(x)
+    gen, load = scenario.profiles.gen, scenario.profiles.load
+    tot = (gen - load + dec["sp"] - dec["sm"]).sum(axis=0)
+    return float(np.abs(tot).max())
+
+
+def flow_law_residual(scenario, layout, x):
+    """Max |x_e * flow - angle difference| over branches and steps."""
+    dec = layout.decode(x)
+    idx = scenario.network.bus_index()
+    worst = 0.0
+    for e, br in enumerate(scenario.network.branches):
+        fi, ti = idx[br.from_bus], idx[br.to_bus]
+        res = np.abs(br.reactance * dec["flow"][e] - dec["theta"][fi] + dec["theta"][ti])
+        worst = max(worst, float(res.max()))
+    return worst
+
+
+def _shed_rows(scenario, shed_id):
+    return dict(zip(scenario.partition.shed_ids(), shed_rows(scenario)))[shed_id]
+
+
+def total_demand(scenario, shed_id):
+    """Total load energy of a shed over the window (per-unit energy)."""
+    rows = _shed_rows(scenario, shed_id)
+    return float(scenario.profiles.load[rows].sum() * scenario.time_grid.step_hours)
+
+
+def baseline_ratio(scenario, shed_id):
+    """Pre-flexibility ratio of shed generation energy to demand energy."""
+    rows = _shed_rows(scenario, shed_id)
+    demand = scenario.profiles.load[rows].sum()
+    if demand <= 0:
+        raise ScenarioError(f"shed {shed_id} has zero total demand")
+    return float(scenario.profiles.gen[rows].sum() / demand)

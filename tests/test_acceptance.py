@@ -13,7 +13,13 @@ import time
 import numpy as np
 
 from conftest import data_path, make_line_scenario, single_shed_scenario
-from oracles import best_ratio_series, grid_minimize
+from oracles import (
+    best_ratio_series,
+    build_p3,
+    grid_minimize,
+    kkt_residuals,
+    power_balance_residual,
+)
 
 from energyshed.analytic import (
     CommunitySeries,
@@ -26,13 +32,8 @@ from energyshed.netmodel import (
     serialize_network_case,
 )
 from energyshed.policy import baseline, solve_p2, solve_p4
-from energyshed.problems import (
-    build_p1,
-    build_p3,
-    evaluate_f_tau,
-    power_balance_residual,
-)
-from energyshed.qpcore import check_feasibility, kkt_residuals, solve_qp
+from energyshed.problems import build_p1, evaluate_f_tau
+from energyshed.qpcore import check_feasibility, solve_qp
 
 # artifacts shared across criteria (populated in file order)
 _TRACES = []          # (label, solve_p2 trace)

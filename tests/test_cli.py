@@ -132,6 +132,14 @@ class TestExitCodes:
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["exit_code"] == 2
 
+    @pytest.mark.parametrize("cmd", ["validate", "baseline"])
+    def test_unknown_case_field_warns(self, scenario_file, tmp_path, capsys, cmd):
+        (tmp_path / "tiny.m").write_text(CASE + "mpc.gen = [\n    1  0  0;\n];\n")
+        assert run([cmd, "--scenario", scenario_file], tmp_path / "o") == 0
+        assert "warning: mpc.gen ignored" in capsys.readouterr().err
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert [w.split()[0] for w in man["warnings"]] == ["mpc.gen"]
+
     def test_duplicate_shed_bus(self, scenario_file, tmp_path, capsys):
         cfg = json.loads(open(scenario_file).read())
         cfg["partition"] = [[1, 1]]
@@ -191,9 +199,14 @@ class TestExitCodes:
         ["analyze", "--budget-step", "nan"],
         ["analyze", "--max-budget", "inf"],
         ["analyze", "--max-budget", "-1"],
+        ["design-p4", "--zeta", "1.0", "--threads", "0"],
+        ["design-p4", "--zeta", "1.0", "--threads", "-1"],
+        ["pareto", "--threads", "0"],
+        ["pareto", "--threads", "-1"],
     ], ids=["zeta-nan", "zeta-inf", "mesh-nan", "epsilon-inf", "epsilon-zero",
             "budget-step-zero", "budget-step-nan", "max-budget-inf",
-            "max-budget-negative"])
+            "max-budget-negative", "p4-threads-zero", "p4-threads-negative",
+            "pareto-threads-zero", "pareto-threads-negative"])
     def test_bad_numeric_flag(self, scenario_file, tmp_path, capsys, args):
         assert run(args[:1] + ["--scenario", scenario_file] + args[1:],
                    tmp_path / "o") == 2
@@ -238,6 +251,7 @@ class TestOutputs:
         assert all(len(h) == 64 for h in man["inputs"].values())
         assert {"energyshed", "numpy", "scipy", "python"} <= set(man["versions"])
         assert "report.csv" in man["outputs"]
+        assert man["warnings"] == []
 
     def test_manifest_version_matches_pyproject(self, scenario_file, tmp_path):
         tomllib = pytest.importorskip("tomllib")

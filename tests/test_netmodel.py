@@ -18,17 +18,16 @@ from energyshed.netmodel import (
     ProfileError,
     Profiles,
     TimeGrid,
-    baseline_ratio,
     induced_subgraph_connected,
     load_scenario,
     parse_matpower_case,
     parse_profiles,
     profiles_to_csv,
     serialize_network_case,
-    total_demand,
     validate_scenario,
 )
 from energyshed.problems import BuildError, build_p1
+from oracles import baseline_ratio, total_demand
 
 TRIVIAL_CASE = """
 function mpc = case3

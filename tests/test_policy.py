@@ -20,9 +20,8 @@ from energyshed.policy import (
     solve_p2,
     solve_p4,
 )
-from energyshed.problems import build_p3
 from energyshed.qpcore import check_feasibility
-from oracles import bisection_p2, full_sweep_p4
+from oracles import bisection_p2, build_p3, full_sweep_p4
 
 
 def sink_scenario(cap1=0.3, alpha=None):

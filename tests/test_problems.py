@@ -8,21 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_line_scenario
-from energyshed.netmodel import Branch, baseline_ratio
+from energyshed.netmodel import Branch
 from energyshed.problems import (
     BuildError,
     VariableLayout,
     build_p1,
     build_p2_step,
-    build_p3,
     evaluate_f_tau,
     extract_report,
-    flow_law_residual,
-    power_balance_residual,
     shed_terms,
 )
 from energyshed.qpcore import check_feasibility, solve_qp
-from oracles import loop_build_p1
+from oracles import (
+    baseline_ratio,
+    build_p3,
+    flow_law_residual,
+    loop_build_p1,
+    power_balance_residual,
+)
 
 
 def two_bus_scenario(**kw):

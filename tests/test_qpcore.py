@@ -9,15 +9,9 @@ from scipy.optimize import linprog
 from conftest import data_path, single_shed_scenario
 from energyshed import qpcore
 from energyshed.cli import EXIT_INFEASIBLE, main
-from energyshed.problems import build_p1, build_p3
-from energyshed.qpcore import (
-    QPError,
-    QuadProgram,
-    check_feasibility,
-    kkt_residuals,
-    solve_qp,
-)
-from oracles import active_set_qp, farkas_ok, phase1_feasibility
+from energyshed.problems import build_p1
+from energyshed.qpcore import QPError, QuadProgram, check_feasibility, solve_qp
+from oracles import active_set_qp, build_p3, farkas_ok, kkt_residuals, phase1_feasibility
 
 
 def qp(**kw):
@@ -97,16 +91,6 @@ class TestValidation:
     def test_crossed_bounds_rejected(self):
         with pytest.raises(QPError, match="bound"):
             qp(q_diag=[1.0], c_lin=[0.0], lo=[2.0], hi=[1.0])
-
-    def test_debug_dump_round_trips_infinities(self):
-        p = qp(q_diag=[1.0, 0.0], c_lin=[0.5, -0.5], lo=[0.0, -np.inf],
-               hi=[np.inf, 2.0])
-        d = p.to_json_dict()
-        assert d["lo"] == [0.0, None]
-        assert d["hi"] == [None, 2.0]
-        # absent blocks are dumped as empty ones
-        empty = {"shape": [0, 2], "row": [], "col": [], "data": []}
-        assert (d["A_eq"], d["b_eq"], d["G_ineq"], d["h_ineq"]) == (empty, [], empty, [])
 
     @pytest.mark.parametrize("field", ["q_diag", "c_lin", "A_eq", "b_eq", "G_ineq",
                                        "h_ineq", "lo", "hi"])
