@@ -354,12 +354,19 @@ def _cmd_pareto(run):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _default_threads():
+def _env_threads():
+    """--threads when it is not given: ESHED_THREADS, or 1 if that is unset
+    or empty.  Any other value must be a positive integer."""
     env = os.environ.get("ESHED_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    if not env:
         return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"ESHED_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def build_parser():
@@ -373,7 +380,7 @@ def build_parser():
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=int, default=None,
                        help="worker threads for sweeps (env: ESHED_THREADS)")
         p.set_defaults(func=func)
         return p
@@ -415,6 +422,8 @@ def main(argv=None):
     run = None
     try:
         run = _Run(args)
+        if args.threads is None:
+            args.threads = _env_threads()
         code = args.func(run)
     except (CaseParseError, ProfileError, ScenarioError, BuildError,
             AnalysisError, OSError, json.JSONDecodeError, ValueError) as exc:

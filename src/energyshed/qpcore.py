@@ -12,13 +12,15 @@ steps.  Each finite bound has its own slack and dual but enters the Newton
 system only as a diagonal barrier term on its variable (as in OOQP), so
 the KKT system has one row per variable, equality and general inequality.
 It is regularized and quasi-definite, its pattern is assembled once per
-solve, and it is factored by sparse LU (fixed symmetric minimum-degree
+solve, and it is factored by sparse LU with a symmetric minimum-degree
 ordering and diagonal pivoting, so runs are deterministic and fill stays
-low even when the slack diagonal is badly scaled).  Every program, with
-or without inequalities, goes through this one KKT path.  There is no
-phase 1: infeasibility is certified by a Farkas ray read from the same
-solve's dual iterates, and an infeasible Solution's dual fields hold that
-ray.
+low even when the slack diagonal is badly scaled.  The ordering is computed
+once per solve, by the first factorization; K is then permuted by it once,
+and later factorizations keep it.  Only one factor is alive at a time.
+Every program, with or without inequalities, goes through this one KKT
+path.  There is no phase 1: infeasibility is certified by a Farkas ray
+read from the same solve's dual iterates, and an infeasible Solution's
+dual fields hold that ray.
 
 The accuracy is fixed, not configurable: solve_qp stops at scaled
 primal, dual and gap residuals of TOL = 1e-8 within MAX_ITER = 100
@@ -146,9 +148,14 @@ def _ipm(p):
     eliminated: it adds z/(s + _REG*z) to the (1,1) diagonal and a matching
     term to the right-hand side (the Schur complement of the bound rows).
     The KKT matrix therefore has dimension n + m_eq + m_ineq, its pattern is
-    assembled once, and each iteration rewrites only its diagonal.  A
-    program with no inequality rows and no finite bounds takes the same
-    path: mu is then zero and each step is a damped Newton step.
+    assembled once, and each iteration rewrites only its diagonal.  The
+    first factorization computes SuperLU's MMD column ordering; K is then
+    permuted symmetrically by it, once, and every later iteration factors
+    it with NATURAL ordering and solves in permuted coordinates.  The
+    factor lives in one local, dropped before the next splu call, so at
+    most one factor is alive at a time.  A program with no inequality rows
+    and no finite bounds takes the same path: mu is then zero and each step
+    is a damped Newton step.
     """
     n, mg, me = p.n, p.m_ineq, p.m_eq
     hi_idx = np.flatnonzero(np.isfinite(p.hi))
@@ -185,13 +192,15 @@ def _ipm(p):
     y = np.zeros(me)
 
     # the pattern is fixed; diag_pos indexes K's diagonal inside K.data.
-    # splu sorts unsorted indices in place, so canonicalize K first.
+    # splu sorts unsorted indices in place, so canonicalize K first.  K's
+    # row and column i hold the system's order[i]: the identity until the
+    # first factor's ordering is applied.
     K = sp.bmat([[sp.identity(n), GT, AT],
                  [G, sp.identity(mg), None],
                  [A, None, sp.identity(me)]], format="csc")
     K.sum_duplicates()
-    diag_pos = np.flatnonzero(K.indices == np.repeat(np.arange(K.shape[0]),
-                                                     np.diff(K.indptr)))
+    diag_pos = _diag_pos(K)
+    order = np.arange(K.shape[0])
     diag = np.concatenate([q2 + _REG, np.zeros(mg), np.full(me, -_REG)])
 
     # Farkas test.  For a dual pair (y, z >= 0) with R = A'y + G'z (bound
@@ -242,13 +251,18 @@ def _ipm(p):
         d_b = z[mg:] / (s[mg:] + _REG * z[mg:])
         diag[:n] = q2 + _REG + to_x(d_b)
         diag[n:n + mg] = -s[:mg] / z[:mg] - _REG
-        K.data[diag_pos] = diag
-        lu = None  # release the previous factor before computing the next
+        if it == 2:
+            # the pattern is fixed, so every later factor reuses the first
+            # one's column ordering: permute K symmetrically by it, once
+            K, diag_pos, order = _permuted(K, lu.perm_c)
+        K.data[diag_pos] = diag[order]
+        lu = None  # the only reference: free the previous factor first
         try:
-            # quasi-definite after regularization: a fixed symmetric ordering
-            # with diagonal pivoting keeps fill low even when the slack
-            # diagonal becomes badly scaled near convergence
-            lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A",
+            # quasi-definite after regularization: a symmetric minimum-degree
+            # ordering with diagonal pivoting keeps fill low even when the
+            # slack diagonal becomes badly scaled near convergence.  Only the
+            # first factor computes it; K is already in that order afterwards.
+            lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A" if it == 1 else "NATURAL",
                            diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
         except RuntimeError:
@@ -257,7 +271,9 @@ def _ipm(p):
         def newton(r_c):
             r = -r_g + r_c / z
             r_b = d_b * r[mg:]
-            d = lu.solve(np.concatenate([-r_d + to_x(sgn * r_b), r[:mg], -r_p]))
+            rhs = np.concatenate([-r_d + to_x(sgn * r_b), r[:mg], -r_p])
+            d = np.empty_like(rhs)
+            d[order] = lu.solve(rhs[order])
             dx = d[:n]
             dz = np.concatenate([d[n:n + mg], d_b * sgn * dx[bvar] - r_b])
             dy = d[n + mg:]
@@ -289,6 +305,28 @@ def _ipm(p):
                     objective=p.objective(x), status=status,
                     iterations=it, duals_lo=duals_lo, duals_hi=duals_hi,
                     gap=float(s @ z))
+
+
+def _diag_pos(K):
+    """Positions of a canonical CSC matrix's diagonal entries in K.data."""
+    return np.flatnonzero(K.indices == np.repeat(np.arange(K.shape[0]),
+                                                 np.diff(K.indptr)))
+
+
+def _permuted(K, perm_c):
+    """(K[order][:, order], its _diag_pos, order) for order = argsort(perm_c).
+
+    Built from K's index arrays: entry (i, j) moves to (perm_c[i], perm_c[j]),
+    and the result is canonical CSC like K.
+    """
+    order = np.argsort(perm_c)
+    rows = perm_c[K.indices]
+    cols = np.repeat(perm_c, np.diff(K.indptr))
+    o = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.diff(K.indptr)[order])])
+    P = sp.csc_matrix((K.data[o], rows[o], indptr.astype(K.indptr.dtype)),
+                      shape=K.shape)
+    return P, _diag_pos(P), order
 
 
 def _max_step(v, dv):

@@ -339,3 +339,20 @@ class TestReproducibility:
                     "--zeta", "1.0", "--mesh", "0.5"], tmp_path / "o") == 0
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["config"]["threads"] == 3
+
+    @pytest.mark.parametrize("env", ["0", "-1", "abc", ""],
+                             ids=["zero", "negative", "not-a-number", "empty"])
+    def test_threads_env_checked(self, scenario_file, tmp_path, monkeypatch,
+                                 capsys, env):
+        # a bad ESHED_THREADS fails like a bad --threads; an empty one is unset
+        monkeypatch.setenv("ESHED_THREADS", env)
+        code = run(["design-p4", "--scenario", scenario_file,
+                    "--zeta", "1.0", "--mesh", "0.5"], tmp_path / "o")
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        if env:
+            assert code == 2
+            assert "ESHED_THREADS" in capsys.readouterr().err
+            assert man["exit_code"] == 2
+        else:
+            assert code == 0
+            assert man["config"]["threads"] == 1

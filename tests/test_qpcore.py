@@ -1,5 +1,7 @@
 """Interior-point solver tests: hand problems, LP cross-checks, oracles."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -287,6 +289,49 @@ class TestNumericalContracts:
         assert seen and {shape for shape, _ in seen} == {(dim, dim)}
         assert len({nnz for _, nnz in seen}) == 1  # one fixed pattern
 
+    @pytest.mark.parametrize("floor", [0.6, 3.0], ids=["optimal", "infeasible"])
+    def test_one_ordering_and_one_live_factor(self, scenario_medium, monkeypatch,
+                                              floor):
+        # each solve computes one MMD ordering, from its first factor, and
+        # factors every later (pre-permuted) KKT matrix with NATURAL; a
+        # factor is freed before the next one is computed.  Fill is compared
+        # by SuperLU's stored L+U count: scipy's lu.L leaves out entries
+        # that cancel to exactly 0, so L.nnz dips on some factors either way.
+        solves = []  # per _ipm call: (permc_spec, lu.nnz) per factor
+        alive = []   # per factor: whether it is still referenced
+        splu, ipm = spla.splu, qpcore._ipm
+
+        class Factor:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+        def recording_splu(K, permc_spec, **kwargs):
+            assert not any(alive), "splu called with an earlier factor alive"
+            lu = splu(K, permc_spec=permc_spec, **kwargs)
+            solves[-1].append((permc_spec, lu.nnz))
+            factor = Factor(lu)
+            weakref.finalize(factor, alive.__setitem__, len(alive), False)
+            alive.append(True)
+            return factor
+
+        def recording_ipm(p):
+            solves.append([])
+            return ipm(p)
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        monkeypatch.setattr(qpcore, "_ipm", recording_ipm)
+        p, _ = build_p1(scenario_medium, floor)
+        sol = solve_qp(p)
+        assert sol.status == ("optimal" if floor < 1.0 else "infeasible")
+        assert len(solves) == 1 and len(solves[0]) > 1
+        specs, lu_nnz = zip(*solves[0])
+        assert specs == ("MMD_AT_PLUS_A",) + ("NATURAL",) * (len(specs) - 1)
+        assert len(set(lu_nnz)) == 1
+        assert not any(alive)
+
     def test_infeasible_floor_is_one_solve(self, tmp_path, monkeypatch):
         # solve-p1 certifies an infeasible floor from its one IPM run, in no
         # more iterations than the feasible floor 0.5 takes
@@ -345,6 +390,45 @@ class TestPhase1Oracle:
             assert sol.status == ("optimal" if want == "feasible" else "infeasible")
             if want == "infeasible":
                 assert farkas_ok(p, sol)
+
+
+# status and objective of solve_qp(build_p1(scenario, floor)) for each bundled
+# scenario, recorded at commit 9743b61, where every factor computed its own
+# MMD ordering.  Reusing the first factor's ordering changes the factors in
+# their low-order digits only.  An infeasible solve's objective is that of
+# the iterate at which the ray was found, not an optimum, so its certificate
+# is checked instead.
+BUNDLED_PINS = {
+    ("low", 0.0): ("optimal", 165.67119971999733),
+    ("low", 0.3): ("optimal", 165.67119775550725),
+    ("low", 0.6): ("optimal", 166.87696089846216),
+    ("low", 0.9): ("optimal", 184.55853160560375),
+    ("low", 3.0): ("infeasible", None),
+    ("medium", 0.0): ("optimal", 165.67119946839716),
+    ("medium", 0.3): ("optimal", 165.67120710334473),
+    ("medium", 0.6): ("optimal", 166.876960783947),
+    ("medium", 0.9): ("optimal", 178.96458515490662),
+    ("medium", 3.0): ("infeasible", None),
+    ("high", 0.0): ("optimal", 165.6712005295471),
+    ("high", 0.3): ("optimal", 165.67120089444046),
+    ("high", 0.6): ("optimal", 165.6712398044745),
+    ("high", 0.9): ("optimal", 165.67119719356145),
+    ("high", 3.0): ("infeasible", None),
+}
+
+
+@pytest.mark.parametrize("name, floor", list(BUNDLED_PINS),
+                         ids=[f"{n}-{f}" for n, f in BUNDLED_PINS])
+def test_bundled_programs_match_pins(request, name, floor):
+    p, _ = build_p1(request.getfixturevalue(f"scenario_{name}"), floor)
+    sol = solve_qp(p)
+    status, objective = BUNDLED_PINS[name, floor]
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(objective, rel=1e-9, abs=0.0)
+        assert max(kkt_residuals(p, sol)) <= 1e-6
+    else:
+        assert farkas_ok(p, sol)
 
 
 def _rows(p, kind, M, v):
