@@ -286,6 +286,9 @@ def _resolve_x_min(scenario, raw):
         missing = [k for k in ids if str(k) not in raw]
         if missing:
             raise BuildError(f"x-min file missing shed id(s): {missing}")
+        unknown = sorted(set(raw) - {str(k) for k in ids})
+        if unknown:
+            raise BuildError(f"x-min file names unknown shed id(s): {unknown}")
         return [as_number(raw[str(k)], f"x-min shed {k}") for k in ids]
     return as_number(raw, "x-min value")
 
@@ -307,7 +310,7 @@ def _cmd_solve_p1(run):
 
 def _cmd_baseline(run):
     scenario = _load_checked(run)
-    cost, report = baseline(scenario)
+    report = baseline(scenario)
     _emit_report(run, scenario, report, _report_summary(scenario, report))
     return EXIT_OK
 
@@ -354,21 +357,6 @@ def _cmd_pareto(run):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _env_threads():
-    """--threads when it is not given: ESHED_THREADS, or 1 if that is unset
-    or empty.  Any other value must be a positive integer."""
-    env = os.environ.get("ESHED_THREADS", "")
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"ESHED_THREADS must be a positive integer, got {env!r}")
-    return threads
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="energyshed",
@@ -380,8 +368,8 @@ def build_parser():
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for sweeps (env: ESHED_THREADS)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for sweeps")
         p.set_defaults(func=func)
         return p
 
@@ -422,8 +410,6 @@ def main(argv=None):
     run = None
     try:
         run = _Run(args)
-        if args.threads is None:
-            args.threads = _env_threads()
         code = args.func(run)
     except (CaseParseError, ProfileError, ScenarioError, BuildError,
             AnalysisError, OSError, json.JSONDecodeError, ValueError) as exc:

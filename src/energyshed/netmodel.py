@@ -16,7 +16,7 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Bus:
     id: int
-    has_load: bool = False
 
 
 @dataclass(frozen=True)
@@ -234,8 +233,9 @@ def parse_matpower_case(text, warn=None):
 
     Only ``mpc.baseMVA``, ``mpc.bus`` and ``mpc.branch`` are read; any other
     ``mpc.*`` assignment triggers ``warn(field_name)`` if a callback is given.
-    Bus column 1 is the id, column 2 the type (3 = reference); branch columns
-    1, 2, 4, 6 are from, to, reactance, rateA.  rateA = 0 means unlimited.
+    Bus column 1 is the id, column 2 the type (3 = reference); Pd is not
+    read, as the load profiles mark the load buses.  Branch columns 1, 2, 4,
+    6 are from, to, reactance, rateA.  rateA = 0 means unlimited.
     """
     fields = _scan_case(text, warn)
     base_mva = fields.get("baseMVA")
@@ -256,13 +256,12 @@ def parse_matpower_case(text, warn=None):
         bid, btype = map(int, row[:2])
         if [bid, btype] != row[:2]:
             raise CaseParseError(f"non-integer bus id or type {row[:2]}", line=ln)
-        pd = row[2] if len(row) > 2 else 0.0
         if bid in seen:
             raise CaseParseError(f"duplicate bus id {bid}", line=ln)
         seen.add(bid)
         if btype == 3:
             ref = bid
-        buses.append(Bus(id=bid, has_load=pd != 0.0))
+        buses.append(Bus(id=bid))
     if ref is None:
         ref = min(seen)
 
@@ -297,8 +296,7 @@ def serialize_network_case(network):
     out.write("mpc.bus = [\n")
     for b in network.buses:
         btype = 3 if b.id == network.reference_bus else 1
-        pd = 1.0 if b.has_load else 0.0
-        out.write(f"\t{b.id}\t{btype}\t{pd}\t0\t0\t0\t1\t1\t0\t345\t1\t1.06\t0.94;\n")
+        out.write(f"\t{b.id}\t{btype}\t0\t0\t0\t0\t1\t1\t0\t345\t1\t1.06\t0.94;\n")
     out.write("];\n\nmpc.branch = [\n")
     for br in network.branches:
         rate_a = 0.0 if math.isinf(br.flow_limit) else br.flow_limit * network.base_mva
@@ -488,11 +486,6 @@ def load_scenario(path, warn=None):
     grid = TimeGrid(steps=steps, step_hours=as_number(cfg.get("step_hours", 1.0), "step_hours"))
     profiles = parse_profiles(profile_text, network, grid)
 
-    # has_load flags follow the profiles, which are the authority on demand
-    gamma = profiles.load.sum(axis=1)
-    buses = tuple(replace(b, has_load=bool(g > 0)) for b, g in zip(network.buses, gamma))
-    network = replace(network, buses=buses)
-
     limits = cfg.get("export_limits", {})
     if not isinstance(limits, dict):
         raise ScenarioError(f"export_limits: expected an object with 'upper'/'lower', "
@@ -573,9 +566,12 @@ def validate_scenario(scenario):
                         np.isnan(mat) if limit else ~np.isfinite(mat), net)
         if not limit and (mat < 0).any():
             rep.add(f"negative-{kind}", f"negative {label} entries")
-    if scenario.flex_only_at_load_buses and {"cap_plus", "cap_minus"} <= shaped:
+    # the load profile alone marks the load buses
+    loaded = (scenario.profiles.load.sum(axis=1) > 0 if "load profile" in shaped
+              else np.zeros(n, dtype=bool))
+    if scenario.flex_only_at_load_buses and {"load profile", "cap_plus", "cap_minus"} <= shaped:
         for i, bus in enumerate(net.buses):
-            if not bus.has_load and (b.cap_plus[i].any() or b.cap_minus[i].any()):
+            if not loaded[i] and (b.cap_plus[i].any() or b.cap_minus[i].any()):
                 rep.add("flex-at-load-free-bus",
                         f"bus {bus.id} has flexibility budget but no load",
                         location=f"bus {bus.id}")
@@ -593,7 +589,7 @@ def validate_scenario(scenario):
 
     # partition invariants
     seen = set()
-    load_buses = {bus.id for bus in net.buses if bus.has_load}
+    load_buses = {bus.id for bus, is_load in zip(net.buses, loaded) if is_load}
     covered = set()
     for k, nodes in scenario.partition.sheds:
         repeated = sorted(b for b, c in Counter(nodes).items() if c > 1)

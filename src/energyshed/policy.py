@@ -64,7 +64,6 @@ class PolicyConfig:
 @dataclass
 class PolicyResult:
     tau_star: float
-    cost: float
     cost_normalized: float
     report: object
     trace: list                # p2: (tau, t >= 0) per step; p4: (tau, f_tau, cost)
@@ -76,14 +75,14 @@ class PolicyResult:
 
 
 def baseline(scenario):
-    """Cost and report with no ratio requirements; normalization anchor."""
+    """Report with no ratio requirements; its cost is the normalization anchor."""
     prog, lay = build_p1(scenario, 0.0)
     sol = solve_qp(prog)
     if sol.status == "infeasible":
         raise InfeasibleError("baseline problem infeasible")
     if sol.status != "optimal":
         raise PolicyError(f"baseline problem not solved: status {sol.status}")
-    return sol.objective, extract_report(scenario, lay, sol)
+    return extract_report(scenario, lay, sol)
 
 
 def solve_p2(scenario, cfg=None):
@@ -144,11 +143,9 @@ def solve_p2(scenario, cfg=None):
         raise InfeasibleError(f"cost solve at tau* = {tau_star} infeasible")
     if sol.status != "optimal":
         raise PolicyError(f"cost solve at tau* failed: status {sol.status}")
-    report = extract_report(scenario, lay, sol)
-    cost0, _ = baseline(scenario)
-    return PolicyResult(tau_star=tau_star, cost=sol.objective,
-                        cost_normalized=_normalize(sol.objective, cost0),
-                        report=report, trace=trace)
+    return PolicyResult(tau_star=tau_star,
+                        cost_normalized=_normalize(sol.objective, baseline(scenario).cost),
+                        report=extract_report(scenario, lay, sol), trace=trace)
 
 
 def _normalize(cost, cost0):
@@ -210,7 +207,7 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     cfg = cfg or PolicyConfig()
     cache = cost_cache if cost_cache is not None else {}
     if 0.0 not in cache:
-        cache[0.0] = _solved(baseline(scenario)[1], "optimal")
+        cache[0.0] = _solved(baseline(scenario), "optimal")
     visited = set()  # the rounded taus this call sweeps
 
     def solve_one(tau):
@@ -262,7 +259,7 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     report = cache[tau_star].report
     trace = [(t, value(t), INF if cache[t].report is None else cache[t].report.cost)
              for t in sorted(visited) if t in cache]
-    return PolicyResult(tau_star=tau_star, cost=report.cost,
+    return PolicyResult(tau_star=tau_star,
                         cost_normalized=_normalize(report.cost, cache[0.0].report.cost),
                         report=report, trace=trace, f_star=float(best_val))
 

@@ -335,8 +335,8 @@ def evaluate_f_tau(scenario, tau, zeta):
     Returns (value, report, status), status being solve_qp's; value is
     -inf and report None unless the solve is optimal.
     """
-    if zeta <= 0:
-        raise BuildError("zeta must be positive")
+    if not 0 < zeta < INF:  # chained, so NaN fails too
+        raise BuildError("zeta must be positive and finite")
     prog, lay = build_p1(scenario, float(tau))
     sol = solve_qp(prog)
     if sol.status != "optimal":

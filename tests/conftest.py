@@ -49,8 +49,7 @@ def make_line_scenario(gen, load, cap_plus, cap_minus, *, alpha=None,
     gen = np.asarray(gen, dtype=float)
     load = np.asarray(load, dtype=float)
     n, steps = load.shape
-    buses = tuple(Bus(id=i + 1, has_load=bool(load[i].sum() > 0))
-                  for i in range(n))
+    buses = tuple(Bus(id=i + 1) for i in range(n))
     branches = tuple(Branch(i + 1, i + 2, 0.1, flow_limit)
                      for i in range(n - 1))
     net = Network(buses=buses, branches=branches, base_mva=100.0,
@@ -62,7 +61,7 @@ def make_line_scenario(gen, load, cap_plus, cap_minus, *, alpha=None,
     cap_minus = np.broadcast_to(np.asarray(cap_minus, dtype=float),
                                 (n, steps)).copy()
     if not flex_everywhere:
-        no_load = ~np.array([b.has_load for b in buses])
+        no_load = load.sum(axis=1) <= 0
         cap_plus[no_load] = 0.0
         cap_minus[no_load] = 0.0
     budgets = FlexBudget(cap_plus=cap_plus, cap_minus=cap_minus,

@@ -163,7 +163,7 @@ def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
     The mesh over [tau_lo, tau_hi], then the tenfold-finer mesh within one
     mesh step of the incumbent, whose best point replaces the incumbent if
     strictly better; ties go to the smaller tau.  Returns tau_star (rounded
-    to 12 digits, as solve_p4 reports it), f_star, cost, report and trace
+    to 12 digits, as solve_p4 reports it), f_star, report and trace
     ((tau, f, cost) per distinct rounded tau).
     cache ({round(tau, 12): report or None}) may be shared across calls on
     one scenario, since the cost solves do not depend on zeta.
@@ -197,7 +197,7 @@ def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
     trace = [(t, -np.inf if cache[t] is None else t - cache[t].cost / zeta,
               np.inf if cache[t] is None else cache[t].cost) for t in sorted(seen)]
     return SimpleNamespace(tau_star=round(float(tau_star), 12), f_star=float(f_star),
-                           cost=report.cost, report=report, trace=trace)
+                           report=report, trace=trace)
 
 
 def phase1_feasibility(p):

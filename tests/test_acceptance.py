@@ -239,8 +239,7 @@ def test_criterion_7_aggregation_ordering(capsys, scenario_low,
             prog, _ = build_p1(scen, 1.0)
             _COSTS[(name, 1.0)] = solve_qp(prog).objective
         costs[name] = _COSTS[(name, 1.0)]
-    cost0, _ = baseline(scenario_high)
-    norm_high = costs["high"] / cost0
+    norm_high = costs["high"] / baseline(scenario_high).cost
     _verdict(capsys, 7,
              f"floor-1 cost low {costs['low']:.4f} >= medium "
              f"{costs['medium']:.4f} >= high {costs['high']:.4f}, "

@@ -112,6 +112,16 @@ class TestExitCodes:
                     "--x-min", str(path)], tmp_path / "o") == 2
         assert (tmp_path / "o" / "manifest.json").exists()
 
+    def test_unknown_shed_in_floor_file(self, scenario_file, tmp_path, capsys):
+        # every shed has its floor, but two keys name no shed
+        path = tmp_path / "floors.json"
+        path.write_text('{"0": 0.3, "99": 0.9, "x": 1}')
+        assert run(["solve-p1", "--scenario", scenario_file,
+                    "--x-min", str(path)], tmp_path / "o") == 2
+        assert "unknown shed id(s): ['99', 'x']" in capsys.readouterr().err
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["exit_code"] == 2
+
     @pytest.mark.parametrize("profiles", [
         "bus,kind,t1,t2\n1,load,1.0,1.0\n1,gen,nan,0.2\n",
         "bus,kind,t1,t2\n1,load,nan,1.0\n1,gen,0.2,0.2\n",
@@ -332,27 +342,3 @@ class TestReproducibility:
         mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
         ma.pop("timestamp"), mb.pop("timestamp")
         assert ma == mb
-
-    def test_threads_env_fallback(self, scenario_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("ESHED_THREADS", "3")
-        assert run(["design-p4", "--scenario", scenario_file,
-                    "--zeta", "1.0", "--mesh", "0.5"], tmp_path / "o") == 0
-        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert man["config"]["threads"] == 3
-
-    @pytest.mark.parametrize("env", ["0", "-1", "abc", ""],
-                             ids=["zero", "negative", "not-a-number", "empty"])
-    def test_threads_env_checked(self, scenario_file, tmp_path, monkeypatch,
-                                 capsys, env):
-        # a bad ESHED_THREADS fails like a bad --threads; an empty one is unset
-        monkeypatch.setenv("ESHED_THREADS", env)
-        code = run(["design-p4", "--scenario", scenario_file,
-                    "--zeta", "1.0", "--mesh", "0.5"], tmp_path / "o")
-        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        if env:
-            assert code == 2
-            assert "ESHED_THREADS" in capsys.readouterr().err
-            assert man["exit_code"] == 2
-        else:
-            assert code == 0
-            assert man["config"]["threads"] == 1

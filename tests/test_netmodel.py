@@ -1,6 +1,7 @@
 """Parser, profile, scenario-loading and validation tests."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -51,7 +52,6 @@ class TestCaseParser:
         assert net.bus_ids() == [1, 2, 3]
         assert net.base_mva == 100
         assert net.reference_bus == 1
-        assert [b.has_load for b in net.buses] == [True, False, True]
         assert net.branches[0].flow_limit == pytest.approx(2.5)  # rateA / base
         assert math.isinf(net.branches[1].flow_limit)            # rateA = 0
         assert net.branches[1].reactance == pytest.approx(0.05)
@@ -144,8 +144,7 @@ class TestCaseParser:
     @given(st.integers(min_value=2, max_value=12), st.randoms())
     @settings(max_examples=25, deadline=None)
     def test_round_trip_random_networks(self, n, rnd):
-        buses = tuple(Bus(id=i + 1, has_load=rnd.random() < 0.5)
-                      for i in range(n))
+        buses = tuple(Bus(id=i + 1) for i in range(n))
         branches = []
         for i in range(2, n + 1):  # random tree plus extra chords
             branches.append(Branch(rnd.randrange(1, i), i,
@@ -232,6 +231,43 @@ class TestScenarioLoading:
 
     def test_per_bus_scalars_broadcast(self, scenario_high):
         assert scenario_high.budgets.cap_plus.shape == (39, 24)
+
+
+class TestLoadBusesFromProfile:
+    """The load profile, not the case file's Pd column, marks the load buses."""
+
+    def scenario(self, tmp_path, partition, **cfg):
+        # Pd is 90 and 50 on buses 1 and 3; the profile loads buses 2 and 3
+        case = TRIVIAL_CASE.replace("3  1  50.0", "3  1   0.0")
+        (tmp_path / "case3.m").write_text(case)
+        (tmp_path / "prof.csv").write_text(
+            "bus,kind,t1,t2\n2,load,1.0,1.0\n3,load,0.5,0.5\n1,gen,0.4,0.4\n")
+        cfg.update(case_file="case3.m", profiles_file="prof.csv", partition=partition)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        return load_scenario(str(path))
+
+    def test_profile_load_without_pd_must_be_covered(self, tmp_path):
+        s = self.scenario(tmp_path, [[1, 2]])
+        bad = [v.message for v in validate_scenario(s).violations
+               if v.code == "uncovered-load-bus"]
+        assert bad == ["load buses [3] not assigned to any shed"]
+        assert validate_scenario(self.scenario(tmp_path, [[1, 2, 3]])).ok
+
+    def test_flex_at_pd_bus_without_profile_load(self, tmp_path):
+        s = self.scenario(tmp_path, [[1, 2, 3]], cap_plus={"1": 0.3, "2": 0.3})
+        bad = [v.location for v in validate_scenario(s).violations
+               if v.code == "flex-at-load-free-bus"]
+        assert bad == ["bus 1"]
+
+    def test_misshapen_load_profile_marks_no_bus(self, tmp_path):
+        s = self.scenario(tmp_path, [[1]], cap_plus={"1": 0.3})
+        s = dataclasses.replace(s, profiles=Profiles(gen=s.profiles.gen,
+                                                     load=s.profiles.load[:, :1]))
+        codes = validate_scenario(s).codes()
+        assert "profile-shape" in codes
+        assert "uncovered-load-bus" not in codes
+        assert "flex-at-load-free-bus" not in codes
 
 
 class TestValidation:

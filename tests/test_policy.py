@@ -230,9 +230,9 @@ class TestAgainstBisection:
 class TestBaseline:
     def test_baseline_is_cheapest(self):
         s = sink_scenario()
-        cost0, report = baseline(s)
+        report = baseline(s)
         res = solve_p2(s)
-        assert cost0 <= res.cost + 1e-9
+        assert report.cost <= res.report.cost + 1e-9
         assert report.status == "optimal"
 
 
@@ -378,7 +378,7 @@ def same_as_full_sweep(res, full):
     """solve_p4's answer is the full sweep's, and its trace rows are rows of it."""
     rows = {t: (f, c) for t, f, c in full.trace}
     return (res.tau_star == full.tau_star and res.f_star == full.f_star
-            and res.cost == full.cost and res.report == full.report
+            and res.report == full.report
             and all(rows.get(t) == (f, c) for t, f, c in res.trace))
 
 

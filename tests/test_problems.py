@@ -227,6 +227,13 @@ class TestSweepObjective:
         with pytest.raises(BuildError, match="zeta"):
             evaluate_f_tau(chain_scenario(), 0.5, 0.0)
 
+    @pytest.mark.parametrize("zeta", [np.nan, np.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_zeta_must_be_positive_and_finite(self, zeta):
+        # the rule of solve_p4: a NaN zeta fails the chained comparison
+        with pytest.raises(BuildError, match="positive and finite"):
+            evaluate_f_tau(chain_scenario(), 0.5, zeta)
+
 
 class TestOrderingProperties:
     def test_cost_monotone_in_tau(self):
