@@ -32,9 +32,7 @@ from .netmodel import (
     validate_scenario,
 )
 from .policy import (
-    InfeasibleError,
     PolicyConfig,
-    PolicyError,
     PolicyInputError,
     PolicyResult,
     baseline,
@@ -44,7 +42,9 @@ from .policy import (
 )
 from .problems import (
     BuildError,
+    InfeasibleError,
     OperationReport,
+    PolicyError,
     VariableLayout,
     build_p1,
     evaluate_f_tau,
@@ -63,10 +63,9 @@ __all__ = [
     "ScenarioError", "TimeGrid", "ValidationReport",
     "load_scenario", "parse_matpower_case", "parse_profiles",
     "profiles_to_csv", "serialize_network_case", "validate_scenario",
-    "InfeasibleError", "PolicyConfig", "PolicyError", "PolicyInputError",
-    "PolicyResult",
+    "PolicyConfig", "PolicyInputError", "PolicyResult",
     "baseline", "pareto_front", "solve_p2", "solve_p4",
-    "BuildError", "OperationReport", "VariableLayout", "build_p1",
-    "evaluate_f_tau", "extract_report",
+    "BuildError", "InfeasibleError", "OperationReport", "PolicyError",
+    "VariableLayout", "build_p1", "evaluate_f_tau", "extract_report",
     "QuadProgram", "Solution", "check_feasibility", "solve_qp",
 ]

@@ -36,16 +36,8 @@ from .netmodel import (
     shed_rows,
     validate_scenario,
 )
-from .policy import (
-    InfeasibleError,
-    PolicyConfig,
-    PolicyError,
-    baseline,
-    pareto_front,
-    solve_p2,
-    solve_p4,
-)
-from .problems import BuildError, build_p1, extract_report
+from .policy import PolicyConfig, baseline, pareto_front, solve_p2, solve_p4
+from .problems import BuildError, InfeasibleError, PolicyError, build_p1, extract_report
 from .qpcore import solve_qp
 
 EXIT_OK = 0
@@ -170,6 +162,11 @@ def _emit_table(run, stem, key, header, rows):
         run.write_text(f"{stem}.csv", _csv_text(header, rows))
 
 
+def _by_id(values, scale=1.0):
+    """A {shed or bus id: value} dict with str keys for JSON, values scaled."""
+    return {str(k): v * scale for k, v in values.items()}
+
+
 def _report_summary(scenario, report, extra=None):
     """JSON summary with per-unit values plus MVA/MWh conversions."""
     base = scenario.network.base_mva
@@ -179,27 +176,36 @@ def _report_summary(scenario, report, extra=None):
         "step_hours": hours,
         "cost": report.cost,
         "min_ratio": report.min_ratio(),
-        "shed_ratios": {str(k): v for k, v in report.shed_ratios.items()},
-        "cap_plus_pu": {str(k): v for k, v in report.cap_plus.items()},
-        "cap_plus_mw": {str(k): v * base for k, v in report.cap_plus.items()},
-        "cap_minus_pu": {str(k): v for k, v in report.cap_minus.items()},
-        "cap_minus_mw": {str(k): v * base for k, v in report.cap_minus.items()},
+        "shed_ratios": _by_id(report.shed_ratios),
+        "cap_plus_pu": _by_id(report.cap_plus),
+        "cap_plus_mw": _by_id(report.cap_plus, base),
+        "cap_minus_pu": _by_id(report.cap_minus),
+        "cap_minus_mw": _by_id(report.cap_minus, base),
     }
     d.update(extra or {})
     return d
 
 
-def _alpha_by_bus(scenario):
-    return {b.id: float(a)
-            for b, a in zip(scenario.network.buses, scenario.weights.alpha)}
-
-
 def _emit_report(run, scenario, report, summary):
+    """report.json (summary plus the full report), or report.csv, one row
+    per load bus by increasing generation capacity cost, and summary.json."""
     if run.args.format == "json":
-        run.write_json("report.json",
-                       {"summary": summary, "report": report.to_json_dict()})
+        run.write_json("report.json", {"summary": summary, "report": {
+            "status": report.status,
+            "cost": report.cost,
+            "shed_ratios": _by_id(report.shed_ratios),
+            "bus_ratios": _by_id(report.bus_ratios),
+            "cap_plus": _by_id(report.cap_plus),
+            "cap_minus": _by_id(report.cap_minus),
+            "branch_peak_util": [{"from": f, "to": t, "utilization": u}
+                                 for f, t, u in report.branch_peak_util],
+        }})
     else:
-        run.write_text("report.csv", report.to_csv(_alpha_by_bus(scenario)))
+        alpha = dict(zip([b.id for b in scenario.network.buses], scenario.weights.alpha))
+        rows = [(b, alpha[b], report.bus_ratios[b], report.cap_plus[b], report.cap_minus[b])
+                for b in sorted(report.bus_ratios, key=lambda b: (alpha[b], b))]
+        run.write_text("report.csv", _csv_text(
+            ["bus", "alpha", "ratio", "cap_plus", "cap_minus"], rows))
         run.write_json("summary.json", summary)
 
 
@@ -272,11 +278,14 @@ def _cmd_analyze(run):
 
 
 def _x_min_value(arg):
+    """--x-min as read: a JSON file's contents if the path exists, else a float."""
     if os.path.exists(arg):
         with open(arg) as fh:
-            data = json.load(fh)
-        return data
-    return float(arg)
+            return json.load(fh)
+    try:
+        return float(arg)
+    except ValueError:
+        raise BuildError(f"--x-min {arg!r} is neither an existing file nor a number") from None
 
 
 def _resolve_x_min(scenario, raw):
@@ -297,12 +306,7 @@ def _cmd_solve_p1(run):
     scenario = _load_checked(run)
     x_min = _resolve_x_min(scenario, _x_min_value(run.args.x_min))
     prog, lay = build_p1(scenario, x_min)
-    sol = solve_qp(prog)
-    if sol.status == "infeasible":
-        raise InfeasibleError("requested ratio floors are infeasible")
-    if sol.status != "optimal":
-        raise PolicyError(f"solver did not converge: status {sol.status}")
-    report = extract_report(scenario, lay, sol)
+    report = extract_report(scenario, lay, solve_qp(prog))
     _emit_report(run, scenario, report,
                  _report_summary(scenario, report, {"x_min": x_min}))
     return EXIT_OK

@@ -23,20 +23,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .netmodel import shed_rows
-from .problems import build_p1, build_p2_step, evaluate_f_tau, extract_report, shed_terms
+from .problems import (
+    InfeasibleError,
+    PolicyError,
+    build_p1,
+    build_p2_step,
+    evaluate_f_tau,
+    extract_report,
+    shed_terms,
+)
 # check_feasibility is unused here but stays in the namespace: the P2
 # tests and perfbench/tracing.py rebind policy.check_feasibility
 from .qpcore import FEAS_TOL, TOL, check_feasibility, solve_qp  # noqa: F401
 
 INF = math.inf
-
-
-class PolicyError(RuntimeError):
-    pass
-
-
-class InfeasibleError(PolicyError):
-    """No dispatch satisfies the requested ratio floor."""
 
 
 class PolicyInputError(PolicyError, ValueError):
@@ -77,12 +77,7 @@ class PolicyResult:
 def baseline(scenario):
     """Report with no ratio requirements; its cost is the normalization anchor."""
     prog, lay = build_p1(scenario, 0.0)
-    sol = solve_qp(prog)
-    if sol.status == "infeasible":
-        raise InfeasibleError("baseline problem infeasible")
-    if sol.status != "optimal":
-        raise PolicyError(f"baseline problem not solved: status {sol.status}")
-    return extract_report(scenario, lay, sol)
+    return extract_report(scenario, lay, solve_qp(prog))
 
 
 def solve_p2(scenario, cfg=None):
@@ -118,8 +113,9 @@ def solve_p2(scenario, cfg=None):
     for _ in range(n_iter):
         prog, lay = build_p2_step(scenario, tau, d_prev)
         sol = solve_qp(prog)
-        if sol.status == "infeasible":
-            raise InfeasibleError(f"infeasible at tau_lo = {lo}: bracket invalid")
+        if sol.status == "infeasible":  # t is free: the network constraints fail
+            raise InfeasibleError("no dispatch meets the network constraints, "
+                                  f"so every floor from tau_lo = {lo} is infeasible")
         if sol.status != "optimal":
             raise PolicyError(f"P2 step at tau = {tau} failed: status {sol.status}")
         t = float(sol.x[-1])
@@ -136,16 +132,10 @@ def solve_p2(scenario, cfg=None):
 
     tau_star = lo + h * max(cell(tau), 0)
     prog, lay = build_p1(scenario, tau_star)
-    sol = solve_qp(prog)
-    if sol.status == "infeasible":
-        if tau_star == cfg.tau_lo:  # t_0 may lie within FEAS_TOL below 0
-            raise InfeasibleError(f"infeasible at tau_lo = {tau_star}: bracket invalid")
-        raise InfeasibleError(f"cost solve at tau* = {tau_star} infeasible")
-    if sol.status != "optimal":
-        raise PolicyError(f"cost solve at tau* failed: status {sol.status}")
+    report = extract_report(scenario, lay, solve_qp(prog))
     return PolicyResult(tau_star=tau_star,
-                        cost_normalized=_normalize(sol.objective, baseline(scenario).cost),
-                        report=extract_report(scenario, lay, sol), trace=trace)
+                        cost_normalized=_normalize(report.cost, baseline(scenario).cost),
+                        report=report, trace=trace)
 
 
 def _normalize(cost, cost0):
@@ -199,6 +189,9 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     external cost_cache ({round(tau, 12): _Floor(status, report, lower)})
     may be shared across calls.  Its floor 0.0 is the baseline, the
     normalization anchor; this call solves it if the cache lacks it.
+
+    If no mesh point is solved, this raises InfeasibleError when every
+    swept floor is infeasible, and PolicyError otherwise.
     """
     if not 0 < zeta < INF:
         raise PolicyInputError("zeta must be positive and finite")
@@ -247,7 +240,10 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         incumbent, best_val = sweep(_grid(cfg.tau_lo, cfg.tau_hi, cfg.mesh))
         if incumbent is None:
-            raise InfeasibleError("all mesh points infeasible")
+            failed = {cache[k].status for k in visited if k in cache}
+            if failed <= {"infeasible"}:  # the pruned floors lie above an infeasible one
+                raise InfeasibleError("all mesh points infeasible")
+            raise PolicyError(f"no mesh point solved: statuses {sorted(failed)}")
         step = cfg.mesh / 10.0
         cand, cand_val = sweep(_grid(max(cfg.tau_lo, incumbent - cfg.mesh),
                                      min(cfg.tau_hi, incumbent + cfg.mesh), step),

@@ -9,8 +9,6 @@ the (strictly positive) denominator, so the whole program stays convex.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -25,6 +23,14 @@ INF = math.inf
 
 class BuildError(ValueError):
     pass
+
+
+class PolicyError(RuntimeError):
+    pass
+
+
+class InfeasibleError(PolicyError):
+    """No dispatch satisfies the constraints at the requested ratio floors."""
 
 
 @dataclass(frozen=True)
@@ -260,38 +266,23 @@ class OperationReport:
     def min_ratio(self):
         return min(self.shed_ratios.values())
 
-    def to_json_dict(self):
-        return {
-            "status": self.status,
-            "cost": self.cost,
-            "shed_ratios": {str(k): v for k, v in self.shed_ratios.items()},
-            "bus_ratios": {str(k): v for k, v in self.bus_ratios.items()},
-            "cap_plus": {str(k): v for k, v in self.cap_plus.items()},
-            "cap_minus": {str(k): v for k, v in self.cap_minus.items()},
-            "branch_peak_util": [
-                {"from": f, "to": t, "utilization": u} for f, t, u in self.branch_peak_util
-            ],
-        }
-
-    def to_csv(self, alpha_by_bus):
-        """Per-bus table, ordered by increasing generation capacity cost."""
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["bus", "alpha", "ratio", "cap_plus", "cap_minus"])
-        order = sorted(self.bus_ratios, key=lambda b: (alpha_by_bus.get(b, 0.0), b))
-        for b in order:
-            w.writerow([b, alpha_by_bus.get(b, 0.0), self.bus_ratios[b],
-                        self.cap_plus.get(b, 0.0), self.cap_minus.get(b, 0.0)])
-        return out.getvalue()
-
 
 RATIO_SLACK_TOL = 1e-6  # relative slack of extract_report's floor check
 
 
 def extract_report(scenario, layout, sol):
-    """Decode a solution and recompute the domain quantities from it."""
+    """Decode a P1 solution and recompute the domain quantities from it.
+
+    The one gate from a solve to an outcome: an optimal solution gives an
+    OperationReport, an infeasible one raises InfeasibleError, and any
+    other status, or a shed ratio below its floor, raises PolicyError.
+    """
+    floors = sorted({float(v) for v in layout.x_min})  # one value for a uniform floor
+    if sol.status == "infeasible":
+        raise InfeasibleError(f"no dispatch meets the constraints at ratio floor(s) {floors}")
     if sol.status != "optimal":
-        raise BuildError(f"cannot report on a solution with status {sol.status!r}")
+        raise PolicyError(f"solve at ratio floor(s) {floors} did not converge: "
+                          f"status {sol.status}")
     net = scenario.network
     dec = layout.decode(sol.x)
     gen, load = scenario.profiles.gen, scenario.profiles.load
@@ -302,7 +293,7 @@ def extract_report(scenario, layout, sol):
                                      num.tolist(), den.tolist()):
         ratio = n_k / d_k
         if ratio < tau - RATIO_SLACK_TOL * (1.0 + tau):
-            raise BuildError(f"shed {k} ratio {ratio} violates floor {tau}")
+            raise PolicyError(f"shed {k} ratio {ratio} violates floor {tau}")
         shed_ratios[k] = ratio
 
     bus_ratios = {}

@@ -7,6 +7,7 @@ import os
 import pytest
 
 import energyshed
+from energyshed import cli, policy, problems
 from energyshed.cli import main
 
 CASE = """
@@ -119,6 +120,15 @@ class TestExitCodes:
         assert run(["solve-p1", "--scenario", scenario_file,
                     "--x-min", str(path)], tmp_path / "o") == 2
         assert "unknown shed id(s): ['99', 'x']" in capsys.readouterr().err
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["exit_code"] == 2
+
+    def test_missing_floor_file(self, scenario_file, tmp_path, capsys):
+        # a mistyped path is neither a file nor a number; say which
+        assert run(["solve-p1", "--scenario", scenario_file,
+                    "--x-min", "missing_floors.json"], tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "'missing_floors.json' is neither an existing file nor a number" in err
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["exit_code"] == 2
 
@@ -249,6 +259,26 @@ class TestExitCodes:
     def test_solve_success(self, scenario_file, tmp_path):
         assert run(["solve-p1", "--scenario", scenario_file,
                     "--x-min", "0.4"], tmp_path / "o") == 0
+
+    @pytest.mark.parametrize("args", [
+        ["solve-p1", "--x-min", "0.4"], ["baseline"], ["design-p2"],
+        ["design-p4", "--zeta", "1e6", "--mesh", "0.25"], ["pareto", "--mesh", "0.25"],
+    ], ids=lambda a: a[0])
+    def test_unconverged_solve(self, scenario_file, tmp_path, monkeypatch, args):
+        # every solve ends max_iter: a solver failure on every command
+        solve = problems.solve_qp
+
+        def capped(prog):
+            sol = solve(prog)
+            sol.status = "max_iter"
+            return sol
+
+        for mod in (cli, policy, problems):
+            monkeypatch.setattr(mod, "solve_qp", capped)
+        assert run([args[0], "--scenario", scenario_file, *args[1:]],
+                   tmp_path / "o") == 4
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["exit_code"] == 4
 
 
 class TestOutputs:

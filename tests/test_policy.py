@@ -200,6 +200,15 @@ class TestAgainstBisection:
         with pytest.raises(InfeasibleError, match="tau_lo"):
             solve_p2(sink_scenario(), PolicyConfig(tau_lo=0.6))
 
+    def test_infeasible_network(self):
+        # with no budget the chain's deficit cannot be balanced: the step
+        # LP itself is infeasible, whatever the floor
+        gen = np.array([[0.3, 0.3], [0.0, 0.0], [0.0, 0.2]])
+        load = np.array([[1.0, 0.8], [0.0, 0.0], [1.5, 1.0]])
+        s = make_line_scenario(gen, load, cap_plus=0.0, cap_minus=0.0)
+        with pytest.raises(InfeasibleError, match="network constraints"):
+            solve_p2(s)
+
     def test_budget_exhausted_is_solver_failure(self, monkeypatch):
         # a floor that never rises cannot meet the upper bound
         terms = policy.shed_terms
@@ -436,3 +445,13 @@ class TestAgainstFullSweep:
         else:
             assert above == {0.7, 0.8, 0.9, 1.0}
         assert res.tau_star < 0.6
+
+    @pytest.mark.parametrize("status", ["max_iter", "infeasible"])
+    def test_no_floor_solved(self, monkeypatch, status):
+        # every swept floor fails; only when all of them are infeasible is
+        # the whole mesh shown infeasible
+        monkeypatch.setattr(policy, "evaluate_f_tau",
+                            lambda scenario, tau, zeta: (-math.inf, None, status))
+        with pytest.raises(PolicyError, match=status) as exc:
+            solve_p4(sink_scenario(), 1.0, PolicyConfig(tau_lo=0.5, mesh=0.1))
+        assert isinstance(exc.value, InfeasibleError) == (status == "infeasible")

@@ -11,6 +11,8 @@ from conftest import make_line_scenario
 from energyshed.netmodel import Branch
 from energyshed.problems import (
     BuildError,
+    InfeasibleError,
+    PolicyError,
     VariableLayout,
     build_p1,
     build_p2_step,
@@ -122,8 +124,17 @@ class TestSolutionPhysics:
         s = chain_scenario(cap_plus=0.0, cap_minus=0.0)
         prog, lay = build_p1(s, 0.0)
         sol = solve_qp(prog)
-        with pytest.raises(BuildError, match="status"):
+        with pytest.raises(InfeasibleError, match="no dispatch"):
             extract_report(s, lay, sol)
+
+    def test_ratio_below_floor_is_solver_failure(self):
+        # an optimal solve at floor 0 read against floor 5: no report
+        s = chain_scenario()
+        lay, sol = self.solve(s, 0.0)
+        high = dataclasses.replace(lay, x_min=(5.0,) * len(lay.x_min))
+        with pytest.raises(PolicyError, match="violates floor") as exc:
+            extract_report(s, high, sol)
+        assert not isinstance(exc.value, (InfeasibleError, BuildError))
 
 
 class TestFeasibilityForm:
