@@ -27,8 +27,6 @@ import scipy
 from . import __version__
 from .analytic import AnalysisError, CommunitySeries, capacity_curve
 from .netmodel import (
-    CaseParseError,
-    ProfileError,
     ScenarioError,
     as_number,
     load_scenario,
@@ -47,11 +45,8 @@ EXIT_SOLVER = 4
 
 
 def _sha256(path):
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class _Run:
@@ -78,18 +73,19 @@ class _Run:
         return path
 
     def write_json(self, name, obj):
-        return self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        return self.write_text(name, _json_text(obj))
 
     def _inputs(self):
-        """The scenario JSON and the case and profile files it names, those
-        that exist; none if it cannot be read or names them wrongly."""
-        path = self.args.scenario
+        """Those of the --x-min and --zeta-grid files, the scenario JSON and
+        the case and profile files it names (if it reads) that are files."""
+        args = self.args
+        files = [getattr(args, "x_min", None), getattr(args, "zeta_grid", None)]
         try:
-            with open(path) as fh:
-                files = [path, *scenario_files(path, json.load(fh)).values()]
+            with open(args.scenario) as fh:
+                files += [args.scenario, *scenario_files(args.scenario, json.load(fh)).values()]
         except (OSError, ValueError):
-            return []
-        return [p for p in files if os.path.exists(p)]
+            pass
+        return [p for p in files if p and os.path.isfile(p)]
 
     def close(self, exit_code):
         cfg = {k: v for k, v in sorted(vars(self.args).items())
@@ -110,10 +106,8 @@ class _Run:
             },
             "warnings": self.warnings,
         }
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
+            fh.write(_json_text(manifest))
 
 
 def _print_violations(rep):
@@ -141,6 +135,17 @@ def _fmt(v):
             return "inf" if v > 0 else "-inf"
         return repr(v)
     return str(v)
+
+
+def _json_text(obj):
+    """Strict JSON, each non-finite float spelled as _fmt spells it."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_text(header, rows):
@@ -210,11 +215,8 @@ def _emit_report(run, scenario, report, summary):
 
 
 def _policy_config(args):
-    kw = {}
-    if getattr(args, "epsilon", None) is not None:
-        kw["epsilon"] = args.epsilon
-    if getattr(args, "mesh", None) is not None:
-        kw["mesh"] = args.mesh
+    kw = {k: getattr(args, k) for k in ("epsilon", "mesh")
+          if getattr(args, k, None) is not None}
     if getattr(args, "zeta_grid", None):
         with open(args.zeta_grid) as fh:
             grid = json.load(fh)
@@ -415,8 +417,7 @@ def main(argv=None):
     try:
         run = _Run(args)
         code = args.func(run)
-    except (CaseParseError, ProfileError, ScenarioError, BuildError,
-            AnalysisError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every input error class is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION
     except InfeasibleError as exc:

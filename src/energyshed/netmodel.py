@@ -590,7 +590,6 @@ def validate_scenario(scenario):
     # partition invariants
     seen = set()
     load_buses = {bus.id for bus, is_load in zip(net.buses, loaded) if is_load}
-    covered = set()
     for k, nodes in scenario.partition.sheds:
         repeated = sorted(b for b, c in Counter(nodes).items() if c > 1)
         if repeated:
@@ -610,17 +609,16 @@ def validate_scenario(scenario):
             rep.add("sheds-not-disjoint", f"buses {sorted(overlap)} in multiple sheds",
                     location=f"shed {k}")
         seen |= nodes
-        covered |= nodes
         if not induced_subgraph_connected(net, nodes):
             rep.add("disconnected-shed", f"shed {k} induces a disconnected subgraph",
                     location=f"shed {k}")
-        member_rows = [idx[i] for i in nodes if i in idx]
+        member_rows = [idx[i] for i in nodes]
         if "load profile" in shaped:
             demand = scenario.profiles.load[member_rows].sum()
             if demand <= 0:
                 rep.add("zero-demand-shed", f"shed {k} has zero total demand",
                         location=f"shed {k}")
-    uncovered = load_buses - covered
+    uncovered = load_buses - seen
     if uncovered:
         rep.add("uncovered-load-bus",
                 f"load buses {sorted(uncovered)} not assigned to any shed")

@@ -8,7 +8,9 @@ iteration of Dinkelbach (1967) in the form of Crouzeix, Ferland & Schaible
 superlinearly.  The cost-aware design trades the floor against capacity
 cost and is solved over a mesh of floors; as the cost is nondecreasing in
 the floor, each solved floor bounds the ones above it, and most mesh
-points are pruned without a solve.
+points are pruned without a solve.  Both designs search the floors of
+[0, tau_hi]; floor 0 is the baseline, met whenever the network
+constraints are.
 """
 
 from __future__ import annotations
@@ -45,20 +47,26 @@ class PolicyInputError(PolicyError, ValueError):
 
 @dataclass
 class PolicyConfig:
+    """Design settings over floors [0, tau_hi]; all checked before a solve."""
     epsilon: float = 1e-6
-    tau_lo: float = 0.0
     tau_hi: float = 1.0
     mesh: float = 0.01
     zeta_grid: tuple[float, ...] = tuple(float(z) for z in np.logspace(-2, 4, 13))
 
     def __post_init__(self):
         # chained comparisons, so NaN fails each check
-        if not 0 < self.epsilon < INF:
-            raise PolicyInputError("epsilon must be positive and finite")
-        if not -INF < self.tau_lo < self.tau_hi < INF:
-            raise PolicyInputError("bracket must be finite with tau_lo < tau_hi")
+        if not 0 < self.tau_hi < INF:
+            raise PolicyInputError("tau_hi must be positive and finite")
+        # P2 cannot resolve a cell finer than the float spacing at tau_hi;
+        # this also keeps its 2**n grid at n <= 53
+        if not math.ulp(self.tau_hi) <= self.epsilon < INF:
+            raise PolicyInputError("epsilon must be finite and at least "
+                                   f"{math.ulp(self.tau_hi)!r}, the float spacing at tau_hi")
         if not 0 < self.mesh < INF:
             raise PolicyInputError("mesh must be positive and finite")
+        grid = list(self.zeta_grid)
+        if not grid or not all(0 < z < INF for z in grid) or sorted(grid) != grid:
+            raise PolicyInputError("zeta grid must be nonempty, ascending, positive, finite")
 
 
 @dataclass
@@ -84,43 +92,43 @@ def solve_p2(scenario, cfg=None):
     """Maximize the minimum shed ratio by Dinkelbach's iteration.
 
     Step j solves build_p2_step's LP at floor tau_j, starting from
-    tau_0 = tau_lo with the shed loads L_k as row scales, and moves to
+    tau_0 = 0 with the shed loads L_k as row scales, and moves to
     tau_{j+1} = min_k N_k(x_j)/D_k(x_j), a floor that x_j reaches; the
     next step scales row k by D_k(x_j).  Every step is feasible whenever
     the physics is, so no phase-1 solve is needed.  As D_k >= L_k, the
     optimum t_j bounds the best floor from above:
     tau* <= tau_j + max(t_j, 0) * max_k d_prev[k] / L_k.
 
-    The answer is bisection's: tau_star is the point of the grid
-    tau_lo + i*h, h = (tau_hi - tau_lo) / 2**n, n = ceil(log2((tau_hi -
-    tau_lo) / epsilon)), at or below the last floor reached, and at most
-    tau_hi - h.  The iteration stops once that floor and the upper bound
-    share a grid cell or lie within FEAS_TOL, or once the floor reaches the
-    top cell; it runs at most n LPs.  The bracket is never widened; a
-    caller who expects tau* > 1 sets tau_hi.
+    The answer is bisection's: tau_star is the point of the grid i*h,
+    h = tau_hi / 2**n, n = ceil(log2(tau_hi / epsilon)), at or below the
+    last floor reached, and at most tau_hi - h.  The iteration stops once
+    that floor and the upper bound share a grid cell or lie within
+    FEAS_TOL, or once the floor reaches the top cell; it runs at most n
+    LPs.  At floor 0 the step's optimum is t = max_x min_k N_k(x)/L_k >= 0,
+    so a t just below 0 there is solver noise, and stops the iteration at
+    tau_star = 0.  The bracket is never widened; a caller who expects
+    tau* > 1 sets tau_hi.
     """
     cfg = cfg or PolicyConfig()
-    lo, hi = cfg.tau_lo, cfg.tau_hi
-    n_iter = max(1, math.ceil(math.log2((hi - lo) / cfg.epsilon)))
-    h = (hi - lo) / 2 ** n_iter
+    hi = cfg.tau_hi
+    n_iter = max(1, math.ceil(math.log2(hi / cfg.epsilon)))
+    h = hi / 2 ** n_iter
 
     def cell(tau):
-        return min(math.floor((tau - lo) / h), 2 ** n_iter - 1)
+        return min(math.floor(tau / h), 2 ** n_iter - 1)
 
     loads = np.array([scenario.profiles.load[rows].sum() for rows in shed_rows(scenario)])
-    tau, d_prev = lo, loads
+    tau, d_prev = 0.0, loads
     trace = []
     for _ in range(n_iter):
         prog, lay = build_p2_step(scenario, tau, d_prev)
         sol = solve_qp(prog)
         if sol.status == "infeasible":  # t is free: the network constraints fail
             raise InfeasibleError("no dispatch meets the network constraints, "
-                                  f"so every floor from tau_lo = {lo} is infeasible")
+                                  "so every floor is infeasible")
         if sol.status != "optimal":
             raise PolicyError(f"P2 step at tau = {tau} failed: status {sol.status}")
         t = float(sol.x[-1])
-        if not trace and t < -FEAS_TOL:
-            raise InfeasibleError(f"infeasible at tau_lo = {lo}: bracket invalid")
         trace.append((tau, t >= 0))
         ub = tau + max(t, 0.0) * float(np.max(d_prev / loads))
         num, d_prev = shed_terms(scenario, lay, sol.x)
@@ -130,7 +138,7 @@ def solve_p2(scenario, cfg=None):
     else:
         raise PolicyError(f"P2 iteration did not converge in {n_iter} LPs")
 
-    tau_star = lo + h * max(cell(tau), 0)
+    tau_star = h * max(cell(tau), 0)
     prog, lay = build_p1(scenario, tau_star)
     report = extract_report(scenario, lay, solve_qp(prog))
     return PolicyResult(tau_star=tau_star,
@@ -168,8 +176,8 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     """Maximize f(tau) = tau - cost(tau)/zeta over a mesh of floors.
 
     The answer is that of a full sweep: the best mesh point of
-    [tau_lo, tau_hi] (ties to the smaller floor), then the best point of
-    one tenfold-finer sweep within a mesh step of it, taken if strictly
+    [0, tau_hi] (ties to the smaller floor), then the best point of one
+    tenfold-finer sweep within a mesh step of it, taken if strictly
     better.  Each sweep solves only the points it cannot rule out.
 
     Since every shed denominator D_k >= L_k > 0, the feasible sets are
@@ -188,10 +196,9 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     floors that were solved.  The cost solves do not depend on zeta, so an
     external cost_cache ({round(tau, 12): _Floor(status, report, lower)})
     may be shared across calls.  Its floor 0.0 is the baseline, the
-    normalization anchor; this call solves it if the cache lacks it.
-
-    If no mesh point is solved, this raises InfeasibleError when every
-    swept floor is infeasible, and PolicyError otherwise.
+    normalization anchor; this call solves it if the cache lacks it, so
+    the mesh's first point is always solved and the sweep always returns
+    a floor (or baseline has raised).
     """
     if not 0 < zeta < INF:
         raise PolicyInputError("zeta must be positive and finite")
@@ -233,19 +240,15 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
         best_tau, best_val = None, -INF
         for tau, key in zip(points, keys):
             val = value(key) if key in cache else -INF
-            if val > best_val:  # strict: the first (smallest) tau wins ties
+            # strict: the first (smallest) tau wins ties, -inf ones included
+            if best_tau is None or val > best_val:
                 best_tau, best_val = tau, val
         return best_tau, best_val
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        incumbent, best_val = sweep(_grid(cfg.tau_lo, cfg.tau_hi, cfg.mesh))
-        if incumbent is None:
-            failed = {cache[k].status for k in visited if k in cache}
-            if failed <= {"infeasible"}:  # the pruned floors lie above an infeasible one
-                raise InfeasibleError("all mesh points infeasible")
-            raise PolicyError(f"no mesh point solved: statuses {sorted(failed)}")
+        incumbent, best_val = sweep(_grid(0.0, cfg.tau_hi, cfg.mesh))
         step = cfg.mesh / 10.0
-        cand, cand_val = sweep(_grid(max(cfg.tau_lo, incumbent - cfg.mesh),
+        cand, cand_val = sweep(_grid(max(0.0, incumbent - cfg.mesh),
                                      min(cfg.tau_hi, incumbent + cfg.mesh), step),
                                best_val)
     if cand_val > best_val:
@@ -268,12 +271,9 @@ def pareto_front(scenario, cfg=None, threads=1):
     above it, for every other zeta.
     """
     cfg = cfg or PolicyConfig()
-    grid = list(cfg.zeta_grid)
-    if not grid or any(z <= 0 for z in grid) or sorted(grid) != grid:
-        raise PolicyInputError("zeta grid must be nonempty, positive and ascending")
     cache = {}
     front = []
-    for zeta in grid:
+    for zeta in cfg.zeta_grid:
         res = solve_p4(scenario, zeta, cfg, cost_cache=cache, threads=threads)
         front.append((zeta, res.tau_star, res.cost_normalized))
     return front

@@ -133,13 +133,13 @@ def grid_minimize(objective, boxes, resolution):
 def bisection_p2(scenario, cfg=None):
     """(tau*, trace) of P2 by bisection, one phase-1 solve per probe.
 
-    Runs exactly ceil(log2(bracket/epsilon)) probes at the bracket
-    midpoints; the lower bracket end is not probed, so if every probe is
-    infeasible tau* is tau_lo.  trace lists (tau, feasible) per probe.
+    Runs exactly ceil(log2(tau_hi/epsilon)) probes at the midpoints of
+    the bracket [0, tau_hi]; floor 0 is not probed, so if every probe is
+    infeasible tau* is 0.  trace lists (tau, feasible) per probe.
     """
     cfg = cfg or PolicyConfig()
-    lo, hi = cfg.tau_lo, cfg.tau_hi
-    n_iter = max(1, math.ceil(math.log2((hi - lo) / cfg.epsilon)))
+    lo, hi = 0.0, cfg.tau_hi
+    n_iter = max(1, math.ceil(math.log2(hi / cfg.epsilon)))
     trace = []
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
@@ -160,11 +160,11 @@ def _sweep_points(lo, hi, step):
 def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
     """P4 by solving every point of both sweeps.
 
-    The mesh over [tau_lo, tau_hi], then the tenfold-finer mesh within one
+    The mesh over [0, tau_hi], then the tenfold-finer mesh within one
     mesh step of the incumbent, whose best point replaces the incumbent if
-    strictly better; ties go to the smaller tau.  Returns tau_star (rounded
-    to 12 digits, as solve_p4 reports it), f_star, report and trace
-    ((tau, f, cost) per distinct rounded tau).
+    strictly better; ties, -inf ones included, go to the smaller tau.
+    Returns tau_star (rounded to 12 digits, as solve_p4 reports it),
+    f_star, report and trace ((tau, f, cost) per distinct rounded tau).
     cache ({round(tau, 12): report or None}) may be shared across calls on
     one scenario, since the cost solves do not depend on zeta.
     """
@@ -181,14 +181,12 @@ def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
                 cache[key] = evaluate_f_tau(scenario, key, zeta)[1]
             rep = cache[key]
             val = -np.inf if rep is None else key - rep.cost / zeta
-            if val > best_val:
+            if best_tau is None or val > best_val:
                 best_tau, best_val = tau, val
         return best_tau, best_val
 
-    tau_star, f_star = sweep(_sweep_points(cfg.tau_lo, cfg.tau_hi, cfg.mesh))
-    if tau_star is None:
-        raise ValueError("all mesh points infeasible")
-    cand, val = sweep(_sweep_points(max(cfg.tau_lo, tau_star - cfg.mesh),
+    tau_star, f_star = sweep(_sweep_points(0.0, cfg.tau_hi, cfg.mesh))
+    cand, val = sweep(_sweep_points(max(0.0, tau_star - cfg.mesh),
                                     min(cfg.tau_hi, tau_star + cfg.mesh),
                                     cfg.mesh / 10.0))
     if val > f_star:

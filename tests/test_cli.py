@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output schemas, reproducibility."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -52,6 +53,14 @@ def scenario_file(tmp_path):
 
 def run(args, out):
     return main(args + ["--out", str(out)])
+
+
+def strict_json(path):
+    """The parsed file; raises on a bare NaN, Infinity or -Infinity."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token} in {path}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 def read_csv(path):
@@ -215,6 +224,7 @@ class TestExitCodes:
         ["design-p4", "--zeta", "1.0", "--mesh", "nan"],
         ["design-p2", "--epsilon", "inf"],
         ["design-p2", "--epsilon", "0"],
+        ["design-p2", "--epsilon", "1e-310"],
         ["analyze", "--budget-step", "0"],
         ["analyze", "--budget-step", "nan"],
         ["analyze", "--max-budget", "inf"],
@@ -224,6 +234,7 @@ class TestExitCodes:
         ["pareto", "--threads", "0"],
         ["pareto", "--threads", "-1"],
     ], ids=["zeta-nan", "zeta-inf", "mesh-nan", "epsilon-inf", "epsilon-zero",
+            "epsilon-below-float-spacing",
             "budget-step-zero", "budget-step-nan", "max-budget-inf",
             "max-budget-negative", "p4-threads-zero", "p4-threads-negative",
             "pareto-threads-zero", "pareto-threads-negative"])
@@ -231,7 +242,7 @@ class TestExitCodes:
         assert run(args[:1] + ["--scenario", scenario_file] + args[1:],
                    tmp_path / "o") == 2
         assert args[-2].lstrip("-") in capsys.readouterr().err
-        assert (tmp_path / "o" / "manifest.json").exists()
+        strict_json(tmp_path / "o" / "manifest.json")
 
     @pytest.mark.parametrize("grid", ["5", "[null]", "[true]", "[2.0, 1.0]",
                                       "[-1.0, 1.0]", "[]"],
@@ -243,6 +254,29 @@ class TestExitCodes:
         assert run(["pareto", "--scenario", scenario_file,
                     "--zeta-grid", str(path)], tmp_path / "o") == 2
         assert (tmp_path / "o" / "manifest.json").exists()
+
+    def test_bad_zeta_grid_rejected_before_any_solve(self, scenario_file, tmp_path,
+                                                     monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(policy, "evaluate_f_tau", lambda *a: calls.append(a))
+        monkeypatch.setattr(policy, "solve_qp", lambda *a: calls.append(a))
+        path = tmp_path / "zg.json"
+        path.write_text("[1.0, 10.0, Infinity]")
+        assert run(["pareto", "--scenario", scenario_file, "--mesh", "0.25",
+                    "--zeta-grid", str(path)], tmp_path / "o") == 2
+        assert "zeta grid" in capsys.readouterr().err
+        assert calls == []
+        strict_json(tmp_path / "o" / "manifest.json")
+
+    def test_case_file_is_a_directory(self, scenario_file, tmp_path):
+        # the manifest hashes only the inputs that are files
+        cfg = json.loads(open(scenario_file).read())
+        cfg["case_file"] = "."
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run(["validate", "--scenario", str(bad)], tmp_path / "o") == 2
+        man = strict_json(tmp_path / "o" / "manifest.json")
+        assert set(man["inputs"]) == {"bad.json", "tiny.csv"}
 
     def test_empty_profiles(self, scenario_file, tmp_path, capsys):
         (tmp_path / "tiny.csv").write_text("")
@@ -292,6 +326,26 @@ class TestOutputs:
         assert {"energyshed", "numpy", "scipy", "python"} <= set(man["versions"])
         assert "report.csv" in man["outputs"]
         assert man["warnings"] == []
+        # a floor file and a zeta grid file are inputs too
+        floors, grid = tmp_path / "floors.json", tmp_path / "zg.json"
+        floors.write_text('{"0": 0.4}')
+        grid.write_text("[0.01, 100.0]")
+        for args, extra in ((["solve-p1", "--x-min", str(floors)], floors),
+                            (["pareto", "--mesh", "0.25", "--zeta-grid", str(grid)], grid)):
+            out = tmp_path / args[0]
+            assert run([args[0], "--scenario", scenario_file, *args[1:]], out) == 0
+            with_file = json.loads((out / "manifest.json").read_text())["inputs"]
+            assert with_file == {**man["inputs"],
+                                 extra.name: hashlib.sha256(extra.read_bytes()).hexdigest()}
+
+    def test_non_finite_values_are_strict_json(self, scenario_file, tmp_path):
+        # floors beyond the frontier have f = -inf and cost inf; the JSON
+        # files spell them as the CSV does
+        assert run(["design-p4", "--scenario", scenario_file, "--zeta", "1e6",
+                    "--mesh", "0.25", "--format", "json"], tmp_path / "o") == 0
+        rows = strict_json(tmp_path / "o" / "trace.json")["trace"]
+        assert {"f_tau": "-inf", "cost": "inf"}.items() <= rows[-1].items()
+        strict_json(tmp_path / "o" / "manifest.json")
 
     def test_manifest_version_matches_pyproject(self, scenario_file, tmp_path):
         tomllib = pytest.importorskip("tomllib")

@@ -75,7 +75,7 @@ class TestBisection:
         load = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         s = make_line_scenario(gen, load, cap_plus=0.0, cap_minus=0.0,
                                partition=[(0, (1,))], flex_everywhere=True)
-        with pytest.raises(InfeasibleError, match="tau_lo"):
+        with pytest.raises(InfeasibleError, match="network constraints"):
             solve_p2(s)
 
     def test_bracket_expansion(self):
@@ -95,18 +95,30 @@ class TestBisection:
         with pytest.raises(PolicyError):
             PolicyConfig(epsilon=0.0)
         with pytest.raises(PolicyError):
-            PolicyConfig(tau_lo=1.0, tau_hi=0.5)
+            PolicyConfig(tau_hi=0.0)
         with pytest.raises(PolicyError):
             PolicyConfig(mesh=-0.1)
+        # P2 cannot resolve a cell finer than the float spacing at tau_hi
+        PolicyConfig(epsilon=math.ulp(1.0))
+        with pytest.raises(PolicyInputError, match="epsilon"):
+            PolicyConfig(epsilon=math.ulp(1.0) / 2)
+        with pytest.raises(PolicyInputError, match="epsilon"):
+            PolicyConfig(tau_hi=4.0, epsilon=math.ulp(1.0))
 
     @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"epsilon": math.inf},
                                     {"mesh": math.nan}, {"mesh": math.inf},
-                                    {"tau_lo": math.nan}, {"tau_hi": math.inf}],
+                                    {"tau_hi": math.nan}, {"tau_hi": math.inf}],
                              ids=["eps-nan", "eps-inf", "mesh-nan", "mesh-inf",
-                                  "lo-nan", "hi-inf"])
+                                  "hi-nan", "hi-inf"])
     def test_non_finite_config_rejected(self, kw):
         with pytest.raises(PolicyInputError):
             PolicyConfig(**kw)
+
+    @pytest.mark.parametrize("grid", [(1.0, math.inf), (math.nan,), (), (2.0, 1.0)],
+                             ids=["inf", "nan", "empty", "descending"])
+    def test_zeta_grid_rejected(self, grid):
+        with pytest.raises(PolicyInputError, match="zeta grid"):
+            PolicyConfig(zeta_grid=grid)
 
 
 def with_cap_cut(scenario, shed_index, factor):
@@ -194,11 +206,6 @@ class TestAgainstBisection:
         res = solve_p2(sink_scenario(), PolicyConfig(epsilon=1e-6))
         assert res.tau_star == pytest.approx(0.5, abs=2e-6)
         assert calls == []
-
-    def test_infeasible_tau_lo(self):
-        # tau* = 0.5 lies below the bracket
-        with pytest.raises(InfeasibleError, match="tau_lo"):
-            solve_p2(sink_scenario(), PolicyConfig(tau_lo=0.6))
 
     def test_infeasible_network(self):
         # with no budget the chain's deficit cannot be balanced: the step
@@ -446,12 +453,13 @@ class TestAgainstFullSweep:
             assert above == {0.7, 0.8, 0.9, 1.0}
         assert res.tau_star < 0.6
 
-    @pytest.mark.parametrize("status", ["max_iter", "infeasible"])
-    def test_no_floor_solved(self, monkeypatch, status):
-        # every swept floor fails; only when all of them are infeasible is
-        # the whole mesh shown infeasible
-        monkeypatch.setattr(policy, "evaluate_f_tau",
-                            lambda scenario, tau, zeta: (-math.inf, None, status))
-        with pytest.raises(PolicyError, match=status) as exc:
-            solve_p4(sink_scenario(), 1.0, PolicyConfig(tau_lo=0.5, mesh=0.1))
-        assert isinstance(exc.value, InfeasibleError) == (status == "infeasible")
+    def test_overflowing_f_ties_to_floor_zero(self, monkeypatch):
+        # cost/zeta overflows at every floor: f is -inf throughout, every
+        # floor above 0 is pruned, and the tie goes to the smallest floor
+        calls = []
+        monkeypatch.setattr(policy, "evaluate_f_tau", lambda *a: calls.append(a))
+        res = solve_p4(sink_scenario(), 1e-310, PolicyConfig(mesh=0.1))
+        assert res.tau_star == 0.0 and res.f_star == -math.inf
+        assert calls == []
+        full = full_sweep_p4(sink_scenario(), 1e-310, PolicyConfig(mesh=0.1))
+        assert full.tau_star == 0.0
