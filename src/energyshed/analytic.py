@@ -86,7 +86,6 @@ def max_ratio_constrained(c: CommunitySeries) -> float:
 class CapacityCurvePoint:
     budget: float     # total capacity energy, normalized by total demand
     max_ratio: float
-    mode: str
 
 
 def capacity_curve(c: CommunitySeries, budget_grid, mode="unconstrained"):
@@ -106,18 +105,12 @@ def capacity_curve(c: CommunitySeries, budget_grid, mode="unconstrained"):
         raise AnalysisError("limits mode requires an export limit")
 
     shape = c.load / c.gamma  # sums to 1
-    points = []
-    for b_norm in grid:
-        cap = b_norm * c.gamma * shape
-        if mode == "unconstrained":
-            cc = CommunitySeries(gen=c.gen, load=c.load, cap_plus=cap)
-            ratio = max_ratio_unconstrained(cc)
-        else:
-            limit = c.export_limit if mode == "limits" else c.load - c.gen
-            cc = CommunitySeries(gen=c.gen, load=c.load, cap_plus=cap, export_limit=limit)
-            ratio = max_ratio_constrained(cc)
-        points.append(CapacityCurvePoint(budget=float(b_norm), max_ratio=ratio, mode=mode))
-    return points
+    limit = (None if mode == "unconstrained"
+             else c.export_limit if mode == "limits" else c.load - c.gen)
+    max_ratio = max_ratio_unconstrained if limit is None else max_ratio_constrained
+    return [CapacityCurvePoint(budget=float(b), max_ratio=max_ratio(CommunitySeries(
+                gen=c.gen, load=c.load, cap_plus=b * c.gamma * shape, export_limit=limit)))
+            for b in grid]
 
 
 def required_budget(target, x0, gamma):

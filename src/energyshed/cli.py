@@ -90,12 +90,13 @@ class _Run:
     def close(self, exit_code):
         cfg = {k: v for k, v in sorted(vars(self.args).items())
                if k not in ("func", "out")}
+        # keyed by path from the scenario's directory: unique, siblings bare
+        base = os.path.dirname(os.path.abspath(self.args.scenario))
         manifest = {
             "command": self.args.command,
             "config": cfg,
             "exit_code": exit_code,
-            "inputs": {os.path.basename(p): _sha256(p)
-                       for p in self._inputs()},
+            "inputs": {os.path.relpath(p, base): _sha256(p) for p in self._inputs()},
             "outputs": sorted(self.outputs),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "versions": {
@@ -196,7 +197,7 @@ def _emit_report(run, scenario, report, summary):
     per load bus by increasing generation capacity cost, and summary.json."""
     if run.args.format == "json":
         run.write_json("report.json", {"summary": summary, "report": {
-            "status": report.status,
+            "status": "optimal",  # extract_report makes a report of no other
             "cost": report.cost,
             "shed_ratios": _by_id(report.shed_ratios),
             "bus_ratios": _by_id(report.bus_ratios),
@@ -269,11 +270,9 @@ def _cmd_analyze(run):
             cap_plus=scenario.budgets.cap_plus[sel].sum(axis=0),
             export_limit=limit,
         )
-        curve = capacity_curve(series, grid, mode=run.args.mode)
         mwh = series.gamma * base * hours  # demand energy for conversions
-        for pt in curve:
-            rows.append((str(shed_id), pt.budget, pt.budget * mwh,
-                         pt.max_ratio, pt.mode))
+        rows += [(str(shed_id), pt.budget, pt.budget * mwh, pt.max_ratio, run.args.mode)
+                 for pt in capacity_curve(series, grid, mode=run.args.mode)]
     _emit_table(run, "curves", "points",
                 ["shed", "budget", "budget_mwh", "max_ratio", "mode"], rows)
     return EXIT_OK

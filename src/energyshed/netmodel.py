@@ -235,7 +235,8 @@ def parse_matpower_case(text, warn=None):
     ``mpc.*`` assignment triggers ``warn(field_name)`` if a callback is given.
     Bus column 1 is the id, column 2 the type (3 = reference); Pd is not
     read, as the load profiles mark the load buses.  Branch columns 1, 2, 4,
-    6 are from, to, reactance, rateA.  rateA = 0 means unlimited.
+    6 are from, to, reactance, rateA.  rateA = 0 means unlimited; a
+    negative rateA is an error.
     """
     fields = _scan_case(text, warn)
     base_mva = fields.get("baseMVA")
@@ -281,6 +282,8 @@ def parse_matpower_case(text, warn=None):
             raise CaseParseError(f"branch connects bus {f} to itself", line=ln)
         if x <= 0:
             raise CaseParseError(f"nonpositive reactance on branch {f}-{t}", line=ln)
+        if rate_a < 0:
+            raise CaseParseError(f"negative rateA on branch {f}-{t}", line=ln)
         limit = INF if rate_a == 0 else rate_a / base_mva
         branches.append(Branch(from_bus=f, to_bus=t, reactance=x, flow_limit=limit))
 
@@ -541,9 +544,14 @@ def validate_scenario(scenario):
     if net.n_bus and not induced_subgraph_connected(net, ids):
         rep.add("disconnected-network", "network graph is not connected")
     for br in net.branches:
-        if br.reactance <= 0:
-            rep.add("nonpositive-reactance",
-                    f"branch {br.from_bus}-{br.to_bus} has reactance {br.reactance}")
+        where = f"branch {br.from_bus}-{br.to_bus}"
+        for end in (b for b in (br.from_bus, br.to_bus) if b not in idx):
+            rep.add("unknown-branch-bus", f"{where} references unknown bus {end}", where)
+        # negated comparisons, so NaN fails each check
+        if not br.reactance > 0:
+            rep.add("nonpositive-reactance", f"{where} has reactance {br.reactance}", where)
+        if not br.flow_limit >= 0:
+            rep.add("invalid-flow-limit", f"{where} has flow limit {br.flow_limit}", where)
 
     # every array is (n_bus, steps); an absent export limit is None, and
     # +-inf in one means "no limit", so only NaN is malformed there

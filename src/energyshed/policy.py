@@ -106,8 +106,10 @@ def solve_p2(scenario, cfg=None):
     FEAS_TOL, or once the floor reaches the top cell; it runs at most n
     LPs.  At floor 0 the step's optimum is t = max_x min_k N_k(x)/L_k >= 0,
     so a t just below 0 there is solver noise, and stops the iteration at
-    tau_star = 0.  The bracket is never widened; a caller who expects
-    tau* > 1 sets tau_hi.
+    tau_star = 0.  The bracket is never widened.  With flexibility only at
+    load buses, all in sheds (as validation checks under
+    flex_only_at_load_buses), DC balance gives sum_k N_k <= sum_k D_k, so
+    tau* <= 1, the default tau_hi; only without that flag may tau* need more.
     """
     cfg = cfg or PolicyConfig()
     hi = cfg.tau_hi
@@ -151,19 +153,20 @@ def _normalize(cost, cost0):
 
 
 class _Floor(NamedTuple):
-    """One solved floor of the P4 cost cache."""
-    status: str      # solve_qp's: optimal | infeasible | max_iter
-    report: object   # OperationReport when optimal, else None
-    lower: float     # certified lower bound on cost(tau); -inf unless optimal
+    """One floor of the P4 cost cache."""
+    report: object   # OperationReport when the solve is optimal, else None
+    lower: float     # certified bound on cost at this floor and above: +inf
+                     # if infeasible, -inf after max_iter (which proves nothing)
 
 
-def _solved(report, status):
+def _floor(value, report, status):
+    """The cache entry of evaluate_f_tau's (value, report, status); the
+    value depends on zeta, so the cache keeps none."""
     if report is None:
-        return _Floor(status, None, -INF)
+        return _Floor(None, INF if status == "infeasible" else -INF)
     # the primal objective overshoots the optimum by at most the duality
     # gap; TOL * (1 + |cost|) covers the residuals the gap does not see
-    return _Floor(status, report,
-                  report.cost - report.gap - TOL * (1.0 + abs(report.cost)))
+    return _Floor(report, report.cost - report.gap - TOL * (1.0 + abs(report.cost)))
 
 
 def _grid(lo, hi, step):
@@ -181,21 +184,22 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     better.  Each sweep solves only the points it cannot rule out.
 
     Since every shed denominator D_k >= L_k > 0, the feasible sets are
-    nested in tau: cost(tau) is nondecreasing, and a floor above an
-    infeasible one is infeasible.  So a solved floor tau_a bounds every
-    tau >= tau_a: f(tau) <= tau - lower_a/zeta, lower_a being cost(tau_a)
-    minus the solve's duality gap and a residual slack, and f(tau) = -inf
-    if tau_a is infeasible (a max_iter floor bounds nothing).  A point
-    whose bound is below the sweep's incumbent, strictly, or is -inf, is
-    pruned.  Each round splits the surviving points into runs between
-    solved floors and solves the middle point of every run as one batch
-    on a pool of threads >= 1 workers (the batches do not depend on threads).
+    nested in tau, so cost(tau) is nondecreasing, with cost = +inf where
+    no dispatch exists.  A solved floor a thus bounds every tau >= a by
+    cost(tau) >= lower_a: cost(a) minus the solve's duality gap and a
+    residual slack, +inf if a is infeasible, -inf after max_iter.  So
+    f(tau) <= bound(tau) = tau - max(lower_a for a <= tau)/zeta, and a
+    point whose bound is below the sweep's incumbent, strictly, or is
+    -inf, is pruned.  Each round splits the surviving points into runs
+    between solved floors and solves the middle point of every run as one
+    batch on a pool of threads >= 1 workers (the batches do not depend on
+    threads).
 
     tau_star is the floor rounded to 12 digits, the cache key, so that a
     floor reads the same from either sweep.  The trace lists the swept
     floors that were solved.  The cost solves do not depend on zeta, so an
-    external cost_cache ({round(tau, 12): _Floor(status, report, lower)})
-    may be shared across calls.  Its floor 0.0 is the baseline, the
+    external cost_cache ({round(tau, 12): _Floor(report, lower)}) may be
+    shared across calls.  Its floor 0.0 is the baseline, the
     normalization anchor; this call solves it if the cache lacks it, so
     the mesh's first point is always solved and the sweep always returns
     a floor (or baseline has raised).
@@ -207,28 +211,22 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     cfg = cfg or PolicyConfig()
     cache = cost_cache if cost_cache is not None else {}
     if 0.0 not in cache:
-        cache[0.0] = _solved(baseline(scenario), "optimal")
+        cache[0.0] = _floor(None, baseline(scenario), "optimal")
     visited = set()  # the rounded taus this call sweeps
 
-    def solve_one(tau):
-        return _solved(*evaluate_f_tau(scenario, tau, zeta)[1:])
-
-    def value(tau):
-        rep = cache[tau].report
+    def value(tau):  # -inf unless tau is solved with a report
+        rep = cache[tau].report if tau in cache else None
         return -INF if rep is None else tau - rep.cost / zeta
 
-    def bound(tau):
-        below = [f for k, f in cache.items() if k <= tau]
-        if any(f.status == "infeasible" for f in below):
-            return -INF
-        return tau - max((f.lower for f in below), default=-INF) / zeta
+    def bound(tau):  # floor 0 is in the cache, so the max has a term
+        return tau - max(f.lower for k, f in cache.items() if k <= tau) / zeta
 
     def sweep(points, floor_val=-INF):
         keys = [round(float(t), 12) for t in points]
         visited.update(keys)
         todo = sorted(set(keys))
         while True:
-            best = max([floor_val] + [value(k) for k in keys if k in cache])
+            best = max(floor_val, *map(value, keys))
             # drop the solved points and those bounded below the incumbent
             todo = [t for t in todo if t not in cache and -INF < bound(t) >= best]
             if not todo:
@@ -236,14 +234,11 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
             solved = sorted(cache)
             runs = [list(run) for _, run in groupby(todo, lambda t: bisect(solved, t))]
             batch = [run[len(run) // 2] for run in runs]
-            cache.update(zip(batch, pool.map(solve_one, batch)))
-        best_tau, best_val = None, -INF
-        for tau, key in zip(points, keys):
-            val = value(key) if key in cache else -INF
-            # strict: the first (smallest) tau wins ties, -inf ones included
-            if best_tau is None or val > best_val:
-                best_tau, best_val = tau, val
-        return best_tau, best_val
+            cache.update(zip(batch, pool.map(
+                lambda t: _floor(*evaluate_f_tau(scenario, t, zeta)), batch)))
+        vals = [value(k) for k in keys]
+        i = vals.index(max(vals))  # the first maximum: ties go to the smaller tau
+        return points[i], vals[i]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         incumbent, best_val = sweep(_grid(0.0, cfg.tau_hi, cfg.mesh))

@@ -254,13 +254,13 @@ def shed_terms(scenario, layout, x):
 
 @dataclass
 class OperationReport:
+    """An optimal P1 solve's outcome; extract_report makes no other."""
     shed_ratios: dict          # shed id -> achieved ratio
     bus_ratios: dict           # bus id -> ratio (load buses only)
     cap_plus: dict             # bus id -> max_t S+
     cap_minus: dict            # bus id -> max_t S-
     branch_peak_util: list     # (from, to, peak |flow| / limit)
     cost: float
-    status: str
     gap: float                 # the solve's duality gap; in no output file
 
     def min_ratio(self):
@@ -316,8 +316,7 @@ def extract_report(scenario, layout, sol):
 
     return OperationReport(shed_ratios=shed_ratios, bus_ratios=bus_ratios,
                            cap_plus=cap_plus, cap_minus=cap_minus,
-                           branch_peak_util=util, cost=sol.objective,
-                           status=sol.status, gap=sol.gap)
+                           branch_peak_util=util, cost=sol.objective, gap=sol.gap)
 
 
 def evaluate_f_tau(scenario, tau, zeta):

@@ -338,6 +338,18 @@ class TestOutputs:
             assert with_file == {**man["inputs"],
                                  extra.name: hashlib.sha256(extra.read_bytes()).hexdigest()}
 
+    def test_inputs_with_one_file_name_keep_both_hashes(self, scenario_file, tmp_path):
+        # a floor file named like the scenario, in another directory
+        floors = tmp_path / "collide" / "tiny.json"
+        floors.parent.mkdir()
+        floors.write_text('{"0": 0.4}')
+        assert run(["solve-p1", "--scenario", scenario_file, "--x-min", str(floors)],
+                   tmp_path / "o") == 0
+        inputs = json.loads((tmp_path / "o" / "manifest.json").read_text())["inputs"]
+        assert inputs == {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("tiny.json", "tiny.m", "tiny.csv", os.path.join("collide", "tiny.json"))}
+
     def test_non_finite_values_are_strict_json(self, scenario_file, tmp_path):
         # floors beyond the frontier have f = -inf and cost inf; the JSON
         # files spell them as the CSV does

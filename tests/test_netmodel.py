@@ -81,6 +81,12 @@ class TestCaseParser:
         with pytest.raises(CaseParseError, match="nonpositive reactance"):
             parse_matpower_case(text)
 
+    def test_negative_rate_a(self):
+        text = TRIVIAL_CASE.replace("0.02  0  250", "0.02  0  -250")
+        with pytest.raises(CaseParseError, match="negative rateA on branch 1-2") as exc:
+            parse_matpower_case(text)
+        assert exc.value.line == 11
+
     def test_missing_base_mva(self):
         text = TRIVIAL_CASE.replace("mpc.baseMVA = 100;", "")
         with pytest.raises(CaseParseError, match="baseMVA"):
@@ -380,6 +386,23 @@ class TestValidation:
     def test_uncovered_load_bus(self):
         s = self.build(partition=[(0, (1, 2))])
         assert "uncovered-load-bus" in validate_scenario(s).codes()
+
+    @pytest.mark.parametrize("kw, code, where", [
+        ({"to_bus": 7}, "unknown-branch-bus", "branch 1-7"),
+        ({"reactance": np.nan}, "nonpositive-reactance", "branch 1-2"),
+        ({"flow_limit": np.nan}, "invalid-flow-limit", "branch 1-2"),
+        ({"flow_limit": -6.0}, "invalid-flow-limit", "branch 1-2"),
+    ], ids=["unknown-bus", "nan-reactance", "nan-limit", "negative-limit"])
+    def test_bad_branch(self, kw, code, where):
+        # the clean scenario with its first branch's fields replaced
+        s = self.build()
+        net = s.network
+        s = dataclasses.replace(s, network=dataclasses.replace(
+            net, branches=(dataclasses.replace(net.branches[0], **kw),) + net.branches[1:]))
+        bad = [v for v in validate_scenario(s).violations if v.code == code]
+        assert [v.location for v in bad] == [where]
+        with pytest.raises(BuildError, match=code):
+            build_p1(s, 0.5)
 
     def test_export_bounds_crossed(self):
         n, t = 3, 2
