@@ -550,6 +550,8 @@ def validate_scenario(scenario):
         # negated comparisons, so NaN fails each check
         if not br.reactance > 0:
             rep.add("nonpositive-reactance", f"{where} has reactance {br.reactance}", where)
+        elif br.reactance == INF:
+            rep.add("non-finite-reactance", f"{where} has reactance {br.reactance}", where)
         if not br.flow_limit >= 0:
             rep.add("invalid-flow-limit", f"{where} has flow limit {br.flow_limit}", where)
 

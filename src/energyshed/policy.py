@@ -9,8 +9,8 @@ superlinearly.  The cost-aware design trades the floor against capacity
 cost and is solved over a mesh of floors; as the cost is nondecreasing in
 the floor, each solved floor bounds the ones above it, and most mesh
 points are pruned without a solve.  Both designs search the floors of
-[0, tau_hi]; floor 0 is the baseline, met whenever the network
-constraints are.
+[0, top], the top derived from the scenario (_top_floor); floor 0 is the
+baseline, met whenever the network constraints are.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from .netmodel import shed_rows
 from .problems import (
-    InfeasibleError,
     PolicyError,
     build_p1,
     build_p2_step,
@@ -47,21 +46,17 @@ class PolicyInputError(PolicyError, ValueError):
 
 @dataclass
 class PolicyConfig:
-    """Design settings over floors [0, tau_hi]; all checked before a solve."""
+    """Design settings over floors [0, _top_floor]; all checked before a solve."""
     epsilon: float = 1e-6
-    tau_hi: float = 1.0
     mesh: float = 0.01
     zeta_grid: tuple[float, ...] = tuple(float(z) for z in np.logspace(-2, 4, 13))
 
     def __post_init__(self):
-        # chained comparisons, so NaN fails each check
-        if not 0 < self.tau_hi < INF:
-            raise PolicyInputError("tau_hi must be positive and finite")
-        # P2 cannot resolve a cell finer than the float spacing at tau_hi;
-        # this also keeps its 2**n grid at n <= 53
-        if not math.ulp(self.tau_hi) <= self.epsilon < INF:
+        # chained comparisons, so NaN fails each check; ulp(1.0) is the float
+        # spacing at the smallest top floor, 1
+        if not math.ulp(1.0) <= self.epsilon < INF:
             raise PolicyInputError("epsilon must be finite and at least "
-                                   f"{math.ulp(self.tau_hi)!r}, the float spacing at tau_hi")
+                                   f"{math.ulp(1.0)!r}, the float spacing at 1")
         if not 0 < self.mesh < INF:
             raise PolicyInputError("mesh must be positive and finite")
         grid = list(self.zeta_grid)
@@ -88,31 +83,48 @@ def baseline(scenario):
     return extract_report(scenario, lay, solve_qp(prog))
 
 
+def _top_floor(scenario):
+    """A floor no dispatch of a valid scenario exceeds, and at least 1.
+
+    Validation puts every load bus in a shed, so DC balance summed over the
+    network gives sum_k N_k <= sum_k D_k + S-_out, S-_out <= C-_out being
+    the absorption at buses in no shed: min_k N_k/D_k <= 1 + C-_out/sum_k L_k.
+    Each shed also has N_k/D_k <= (G_k + sum C+_k)/L_k.  Under
+    flex_only_at_load_buses, C-_out = 0, so the top is exactly 1.
+    """
+    sheds, b = shed_rows(scenario), scenario.budgets
+    gen, load = scenario.profiles.gen, scenario.profiles.load
+    inside = [i for rows in sheds for i in rows]
+    balance = 1.0 + np.delete(b.cap_minus, inside, axis=0).sum() / load[inside].sum()
+    per_shed = min((gen[r].sum() + b.cap_plus[r].sum()) / load[r].sum() for r in sheds)
+    return float(max(1.0, min(balance, per_shed)))
+
+
 def solve_p2(scenario, cfg=None):
     """Maximize the minimum shed ratio by Dinkelbach's iteration.
 
-    Step j solves build_p2_step's LP at floor tau_j, starting from
-    tau_0 = 0 with the shed loads L_k as row scales, and moves to
-    tau_{j+1} = min_k N_k(x_j)/D_k(x_j), a floor that x_j reaches; the
-    next step scales row k by D_k(x_j).  Every step is feasible whenever
-    the physics is, so no phase-1 solve is needed.  As D_k >= L_k, the
-    optimum t_j bounds the best floor from above:
+    The baseline is solved first: it validates the scenario, raises
+    InfeasibleError if no dispatch meets the network constraints, and is
+    the normalization anchor.  Step j then solves build_p2_step's LP at
+    floor tau_j, starting from tau_0 = 0 with the shed loads L_k as row
+    scales, and moves to tau_{j+1} = min_k N_k(x_j)/D_k(x_j), a floor that
+    x_j reaches; the next step scales row k by D_k(x_j).  Every step is
+    feasible once the baseline is, so no phase-1 solve is needed.  As
+    D_k >= L_k, the optimum t_j bounds the best floor from above:
     tau* <= tau_j + max(t_j, 0) * max_k d_prev[k] / L_k.
 
-    The answer is bisection's: tau_star is the point of the grid i*h,
-    h = tau_hi / 2**n, n = ceil(log2(tau_hi / epsilon)), at or below the
-    last floor reached, and at most tau_hi - h.  The iteration stops once
-    that floor and the upper bound share a grid cell or lie within
-    FEAS_TOL, or once the floor reaches the top cell; it runs at most n
-    LPs.  At floor 0 the step's optimum is t = max_x min_k N_k(x)/L_k >= 0,
-    so a t just below 0 there is solver noise, and stops the iteration at
-    tau_star = 0.  The bracket is never widened.  With flexibility only at
-    load buses, all in sheds (as validation checks under
-    flex_only_at_load_buses), DC balance gives sum_k N_k <= sum_k D_k, so
-    tau* <= 1, the default tau_hi; only without that flag may tau* need more.
+    The answer is bisection's on [0, top], top = _top_floor(scenario) >=
+    tau*: tau_star is the point of the grid i*h, h = top / 2**n,
+    n = ceil(log2(top / epsilon)), at or below the last floor reached,
+    and at most top - h.  The iteration stops once that floor and the
+    upper bound share a grid cell or lie within FEAS_TOL, or once the
+    floor reaches the top cell; it runs at most n LPs.  At floor 0 the
+    step's optimum is t = max_x min_k N_k(x)/L_k >= 0, so a t just below 0
+    there is solver noise, and stops the iteration at tau_star = 0.
     """
     cfg = cfg or PolicyConfig()
-    hi = cfg.tau_hi
+    cost0 = baseline(scenario).cost
+    hi = _top_floor(scenario)
     n_iter = max(1, math.ceil(math.log2(hi / cfg.epsilon)))
     h = hi / 2 ** n_iter
 
@@ -125,9 +137,6 @@ def solve_p2(scenario, cfg=None):
     for _ in range(n_iter):
         prog, lay = build_p2_step(scenario, tau, d_prev)
         sol = solve_qp(prog)
-        if sol.status == "infeasible":  # t is free: the network constraints fail
-            raise InfeasibleError("no dispatch meets the network constraints, "
-                                  "so every floor is infeasible")
         if sol.status != "optimal":
             raise PolicyError(f"P2 step at tau = {tau} failed: status {sol.status}")
         t = float(sol.x[-1])
@@ -143,8 +152,7 @@ def solve_p2(scenario, cfg=None):
     tau_star = h * max(cell(tau), 0)
     prog, lay = build_p1(scenario, tau_star)
     report = extract_report(scenario, lay, solve_qp(prog))
-    return PolicyResult(tau_star=tau_star,
-                        cost_normalized=_normalize(report.cost, baseline(scenario).cost),
+    return PolicyResult(tau_star=tau_star, cost_normalized=_normalize(report.cost, cost0),
                         report=report, trace=trace)
 
 
@@ -178,10 +186,10 @@ def _grid(lo, hi, step):
 def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     """Maximize f(tau) = tau - cost(tau)/zeta over a mesh of floors.
 
-    The answer is that of a full sweep: the best mesh point of
-    [0, tau_hi] (ties to the smaller floor), then the best point of one
-    tenfold-finer sweep within a mesh step of it, taken if strictly
-    better.  Each sweep solves only the points it cannot rule out.
+    The answer is that of a full sweep: the best mesh point of [0, top],
+    top = _top_floor(scenario) (ties to the smaller floor), then the best
+    point of one tenfold-finer sweep within a mesh step of it, taken if
+    strictly better.  Each sweep solves only the points it cannot rule out.
 
     Since every shed denominator D_k >= L_k > 0, the feasible sets are
     nested in tau, so cost(tau) is nondecreasing, with cost = +inf where
@@ -212,6 +220,7 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     cache = cost_cache if cost_cache is not None else {}
     if 0.0 not in cache:
         cache[0.0] = _floor(None, baseline(scenario), "optimal")
+    top = _top_floor(scenario)  # after the baseline, which validates the scenario
     visited = set()  # the rounded taus this call sweeps
 
     def value(tau):  # -inf unless tau is solved with a report
@@ -241,10 +250,10 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
         return points[i], vals[i]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        incumbent, best_val = sweep(_grid(0.0, cfg.tau_hi, cfg.mesh))
+        incumbent, best_val = sweep(_grid(0.0, top, cfg.mesh))
         step = cfg.mesh / 10.0
         cand, cand_val = sweep(_grid(max(0.0, incumbent - cfg.mesh),
-                                     min(cfg.tau_hi, incumbent + cfg.mesh), step),
+                                     min(top, incumbent + cfg.mesh), step),
                                best_val)
     if cand_val > best_val:
         incumbent, best_val = cand, cand_val

@@ -86,7 +86,7 @@ def single_shed_scenario(rng, limited):
     """Chain scenario: one load shed at bus 1, slack flex at bus 3.
 
     Returns (scenario, closed-form tau*), with the frontier strictly
-    inside (0, 1) so the default P2 bracket applies.
+    inside (0, 1), so below the top floor 1 that P2 and P4 search to.
     """
     steps = int(rng.integers(2, 5))
     load = rng.uniform(0.5, 2.0, steps)

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from energyshed.netmodel import ScenarioError, shed_rows
-from energyshed.policy import PolicyConfig
+from energyshed.policy import PolicyConfig, _top_floor
 from energyshed.problems import BuildError, VariableLayout, build_p1, evaluate_f_tau
 from energyshed.qpcore import FEAS_TOL, QPError, QuadProgram, check_feasibility
 
@@ -133,12 +133,13 @@ def grid_minimize(objective, boxes, resolution):
 def bisection_p2(scenario, cfg=None):
     """(tau*, trace) of P2 by bisection, one phase-1 solve per probe.
 
-    Runs exactly ceil(log2(tau_hi/epsilon)) probes at the midpoints of
-    the bracket [0, tau_hi]; floor 0 is not probed, so if every probe is
-    infeasible tau* is 0.  trace lists (tau, feasible) per probe.
+    Runs exactly ceil(log2(top/epsilon)) probes at the midpoints of the
+    bracket [0, top], top = _top_floor(scenario); floor 0 is not probed,
+    so if every probe is infeasible tau* is 0.  trace lists (tau,
+    feasible) per probe.
     """
     cfg = cfg or PolicyConfig()
-    lo, hi = 0.0, cfg.tau_hi
+    lo, hi = 0.0, _top_floor(scenario)
     n_iter = max(1, math.ceil(math.log2(hi / cfg.epsilon)))
     trace = []
     for _ in range(n_iter):
@@ -160,9 +161,10 @@ def _sweep_points(lo, hi, step):
 def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
     """P4 by solving every point of both sweeps.
 
-    The mesh over [0, tau_hi], then the tenfold-finer mesh within one
-    mesh step of the incumbent, whose best point replaces the incumbent if
-    strictly better; ties, -inf ones included, go to the smaller tau.
+    The mesh over [0, _top_floor(scenario)], then the tenfold-finer mesh
+    within one mesh step of the incumbent, whose best point replaces the
+    incumbent if strictly better; ties, -inf ones included, go to the
+    smaller tau.
     Returns tau_star (rounded to 12 digits, as solve_p4 reports it),
     f_star, report and trace ((tau, f, cost) per distinct rounded tau).
     cache ({round(tau, 12): report or None}) may be shared across calls on
@@ -185,9 +187,10 @@ def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
                 best_tau, best_val = tau, val
         return best_tau, best_val
 
-    tau_star, f_star = sweep(_sweep_points(0.0, cfg.tau_hi, cfg.mesh))
+    top = _top_floor(scenario)
+    tau_star, f_star = sweep(_sweep_points(0.0, top, cfg.mesh))
     cand, val = sweep(_sweep_points(max(0.0, tau_star - cfg.mesh),
-                                    min(cfg.tau_hi, tau_star + cfg.mesh),
+                                    min(top, tau_star + cfg.mesh),
                                     cfg.mesh / 10.0))
     if val > f_star:
         tau_star, f_star = cand, val

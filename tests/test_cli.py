@@ -389,6 +389,22 @@ class TestOutputs:
         assert floats == sorted(floats)
         assert any(r["f_tau"] == "-inf" for r in rows)  # beyond the frontier
 
+    def test_designs_reach_past_one(self, scenario_file, tmp_path):
+        # bus 3 absorbs outside the shed, so both designs search up to the
+        # shed's own bound (0.4 + 2 * 2.0) / 2 = 2.2, not 1
+        with open(scenario_file) as fh:
+            cfg = json.load(fh)
+        cfg["cap_plus"]["1"] = 2.0
+        with open(scenario_file, "w") as fh:
+            json.dump(cfg, fh)
+        assert run(["design-p2", "--scenario", scenario_file], tmp_path / "p2") == 0
+        summary = json.loads((tmp_path / "p2" / "summary.json").read_text())
+        assert summary["tau_star"] == pytest.approx(2.2, abs=2e-6)
+        assert run(["design-p4", "--scenario", scenario_file, "--zeta", "1e9",
+                    "--mesh", "0.1"], tmp_path / "p4") == 0
+        summary = json.loads((tmp_path / "p4" / "summary.json").read_text())
+        assert abs(summary["tau_star"] - 2.2) <= 0.1 + 1e-9
+
     def test_pareto_schema(self, scenario_file, tmp_path):
         grid = tmp_path / "zg.json"
         grid.write_text("[0.01, 100.0]")

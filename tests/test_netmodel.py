@@ -390,9 +390,10 @@ class TestValidation:
     @pytest.mark.parametrize("kw, code, where", [
         ({"to_bus": 7}, "unknown-branch-bus", "branch 1-7"),
         ({"reactance": np.nan}, "nonpositive-reactance", "branch 1-2"),
+        ({"reactance": np.inf}, "non-finite-reactance", "branch 1-2"),
         ({"flow_limit": np.nan}, "invalid-flow-limit", "branch 1-2"),
         ({"flow_limit": -6.0}, "invalid-flow-limit", "branch 1-2"),
-    ], ids=["unknown-bus", "nan-reactance", "nan-limit", "negative-limit"])
+    ], ids=["unknown-bus", "nan-reactance", "inf-reactance", "nan-limit", "negative-limit"])
     def test_bad_branch(self, kw, code, where):
         # the clean scenario with its first branch's fields replaced
         s = self.build()

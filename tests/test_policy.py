@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_line_scenario, single_shed_scenario
-from energyshed import policy, qpcore
+from energyshed import BuildError, InfeasibleError, policy, qpcore
+from energyshed.netmodel import Partition
 from energyshed.policy import (
-    InfeasibleError,
     PolicyConfig,
     PolicyError,
     PolicyInputError,
@@ -20,7 +20,8 @@ from energyshed.policy import (
     solve_p2,
     solve_p4,
 )
-from energyshed.qpcore import check_feasibility
+from energyshed.problems import build_p1
+from energyshed.qpcore import check_feasibility, solve_qp
 from oracles import bisection_p2, build_p3, full_sweep_p4
 
 
@@ -34,6 +35,25 @@ def sink_scenario(cap1=0.3, alpha=None):
     return make_line_scenario(gen, load, cap_plus=cap_plus,
                               cap_minus=cap_minus, alpha=alpha,
                               partition=[(0, (1,))], flex_everywhere=True)
+
+
+def random_line_scenario(rng, flex_everywhere=False):
+    """A chain whose first m buses carry load and form contiguous sheds;
+    the 1-2 load-free buses after them get a budget only if
+    flex_everywhere."""
+    m, free, steps = (int(v) for v in rng.integers([1, 1, 1], [5, 3, 4]))
+    n = m + free
+    load = np.zeros((n, steps))
+    load[:m] = rng.uniform(0.5, 2.0, (m, steps))
+    gen = rng.uniform(0.0, 1.5, (n, steps)) * np.where(load > 0, load, 1.0)
+    cuts = sorted(rng.choice(np.arange(1, m), rng.integers(0, m), replace=False))
+    ends = [0, *cuts, m]
+    return make_line_scenario(
+        gen, load, cap_plus=rng.uniform(0.0, 1.5, (n, steps)),
+        cap_minus=rng.uniform(0.0, 1.5, (n, steps)),
+        partition=[(k, tuple(range(a + 1, b + 1)))
+                   for k, (a, b) in enumerate(zip(ends, ends[1:]))],
+        flex_everywhere=flex_everywhere)
 
 
 def closed_form_bound(s):
@@ -75,17 +95,39 @@ class TestBisection:
         load = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         s = make_line_scenario(gen, load, cap_plus=0.0, cap_minus=0.0,
                                partition=[(0, (1,))], flex_everywhere=True)
-        with pytest.raises(InfeasibleError, match="network constraints"):
+        with pytest.raises(InfeasibleError, match="no dispatch meets the constraints"):
             solve_p2(s)
 
     def test_bracket_expansion(self):
-        s = sink_scenario(cap1=2.0)  # bound = 0.2 + 4 / 2 = 2.2
-        res = solve_p2(s, PolicyConfig(tau_hi=4.0, epsilon=1e-5))
-        assert res.tau_star == pytest.approx(2.2, abs=1e-4)
+        # bus 3 absorbs outside the shed, so the top is the shed's own
+        # bound 0.2 + 4 / 2 = 2.2, not 1
+        s = sink_scenario(cap1=2.0)
+        assert policy._top_floor(s) == pytest.approx(2.2)
+        assert solve_p2(s).tau_star == pytest.approx(2.2, abs=2e-6)
+        res = solve_p2(s, PolicyConfig(epsilon=math.ulp(1.0)))
+        assert res.tau_star == pytest.approx(2.2, abs=1e-9)
 
-    def test_without_expansion_clamps_to_bracket(self):
-        res = solve_p2(sink_scenario(cap1=2.0))
-        assert res.tau_star == pytest.approx(1.0, abs=2e-6)
+    def test_unknown_shed_bus_is_located(self):
+        # the baseline validates the scenario before any shed sum is taken
+        s = dataclasses.replace(sink_scenario(), partition=Partition(sheds=((0, (1, 9)),)))
+        with pytest.raises(BuildError, match="unknown-shed-bus"):
+            solve_p2(s)
+
+    def test_top_floor_is_one_on_bundled_scenarios(self, scenario_low, scenario_medium,
+                                                   scenario_high):
+        for s in (scenario_low, scenario_medium, scenario_high):
+            assert policy._top_floor(s) == 1.0
+
+    def test_top_floor_bounds_every_floor(self):
+        # independent of P2: P1 just above the top has no dispatch
+        rng = np.random.default_rng(3)
+        above_one = 0
+        for _ in range(40):
+            s = random_line_scenario(rng, flex_everywhere=True)
+            top = policy._top_floor(s)
+            above_one += top > 1.0
+            assert solve_qp(build_p1(s, top + 0.01)[0]).status == "infeasible"
+        assert above_one >= 10
 
     def test_flex_at_load_buses_keeps_tau_star_at_most_one(self):
         # DC balance gives sum_k N_k + G outside the sheds = sum_k D_k when
@@ -93,20 +135,10 @@ class TestBisection:
         rng = np.random.default_rng(1)
         taus = []
         for _ in range(40):
-            m, free, steps = (int(v) for v in rng.integers([1, 1, 1], [5, 3, 4]))
-            n = m + free  # buses m+1..n have no load, so no budget
-            load = np.zeros((n, steps))
-            load[:m] = rng.uniform(0.5, 2.0, (m, steps))
-            gen = rng.uniform(0.0, 1.5, (n, steps)) * np.where(load > 0, load, 1.0)
-            cuts = sorted(rng.choice(np.arange(1, m), rng.integers(0, m), replace=False))
-            ends = [0, *cuts, m]
-            s = make_line_scenario(
-                gen, load, cap_plus=rng.uniform(0.0, 1.5, (n, steps)),
-                cap_minus=rng.uniform(0.0, 1.5, (n, steps)),
-                partition=[(k, tuple(range(a + 1, b + 1)))
-                           for k, (a, b) in enumerate(zip(ends, ends[1:]))])
+            s = random_line_scenario(rng)
+            assert policy._top_floor(s) == 1.0
             try:
-                taus.append(solve_p2(s, PolicyConfig(tau_hi=4.0)).tau_star)
+                taus.append(solve_p2(s).tau_star)
             except InfeasibleError:  # the budgets cannot balance some step
                 continue
         assert len(taus) >= 15
@@ -120,21 +152,15 @@ class TestBisection:
         with pytest.raises(PolicyError):
             PolicyConfig(epsilon=0.0)
         with pytest.raises(PolicyError):
-            PolicyConfig(tau_hi=0.0)
-        with pytest.raises(PolicyError):
             PolicyConfig(mesh=-0.1)
-        # P2 cannot resolve a cell finer than the float spacing at tau_hi
+        # the top floor is at least 1: P2 resolves no cell finer than ulp(1.0)
         PolicyConfig(epsilon=math.ulp(1.0))
         with pytest.raises(PolicyInputError, match="epsilon"):
             PolicyConfig(epsilon=math.ulp(1.0) / 2)
-        with pytest.raises(PolicyInputError, match="epsilon"):
-            PolicyConfig(tau_hi=4.0, epsilon=math.ulp(1.0))
 
     @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"epsilon": math.inf},
-                                    {"mesh": math.nan}, {"mesh": math.inf},
-                                    {"tau_hi": math.nan}, {"tau_hi": math.inf}],
-                             ids=["eps-nan", "eps-inf", "mesh-nan", "mesh-inf",
-                                  "hi-nan", "hi-inf"])
+                                    {"mesh": math.nan}, {"mesh": math.inf}],
+                             ids=["eps-nan", "eps-inf", "mesh-nan", "mesh-inf"])
     def test_non_finite_config_rejected(self, kw):
         with pytest.raises(PolicyInputError):
             PolicyConfig(**kw)
@@ -238,7 +264,7 @@ class TestAgainstBisection:
         gen = np.array([[0.3, 0.3], [0.0, 0.0], [0.0, 0.2]])
         load = np.array([[1.0, 0.8], [0.0, 0.0], [1.5, 1.0]])
         s = make_line_scenario(gen, load, cap_plus=0.0, cap_minus=0.0)
-        with pytest.raises(InfeasibleError, match="network constraints"):
+        with pytest.raises(InfeasibleError, match="no dispatch meets the constraints"):
             solve_p2(s)
 
     def test_budget_exhausted_is_solver_failure(self, monkeypatch):
@@ -255,15 +281,17 @@ class TestAgainstBisection:
         assert not isinstance(exc.value, InfeasibleError)
 
     def test_step_not_converged_is_solver_failure(self, monkeypatch):
-        solve = policy.solve_qp
+        solve, solved = policy.solve_qp, []
 
-        def capped(prog):
+        def capped(prog):  # the baseline, solved first, converges
             sol = solve(prog)
-            sol.status = "max_iter"
+            if solved:
+                sol.status = "max_iter"
+            solved.append(prog)
             return sol
 
         monkeypatch.setattr(policy, "solve_qp", capped)
-        with pytest.raises(PolicyError, match="max_iter") as exc:
+        with pytest.raises(PolicyError, match="P2 step at tau = 0.0 failed: status max_iter") as exc:
             solve_p2(sink_scenario())
         assert not isinstance(exc.value, InfeasibleError)
 
@@ -305,7 +333,9 @@ class TestSweep:
     def test_sweeps_stay_in_bracket(self):
         # mesh 0.15 does not divide [0, 1]: 1.05 and the refinement's 1.005
         # lie outside the bracket and are not swept
-        res = solve_p4(sink_scenario(cap1=2.0), 1e9, PolicyConfig(mesh=0.15))
+        s = sink_scenario(cap1=0.8)  # tau* = 0.2 + 1.6 / 2 = 1, the top
+        assert policy._top_floor(s) == 1.0
+        res = solve_p4(s, 1e9, PolicyConfig(mesh=0.15))
         assert max(t for t, _, _ in res.trace) <= 1.0
         assert 0.99 - 1e-9 <= res.tau_star <= 1.0
 
@@ -468,7 +498,7 @@ class TestAgainstFullSweep:
             return evaluate(scenario, tau, zeta)
 
         monkeypatch.setattr(policy, "evaluate_f_tau", failing)
-        res = solve_p4(sink_scenario(cap1=2.0), 1e9, PolicyConfig(mesh=0.1))
+        res = solve_p4(sink_scenario(cap1=0.8), 1e9, PolicyConfig(mesh=0.1))
         assert calls[0] == 0.6
         above = {t for t in calls if t > 0.6}
         if status == "infeasible":
@@ -492,7 +522,7 @@ class TestAgainstFullSweep:
             return evaluate(scenario, tau, zeta)
 
         monkeypatch.setattr(policy, "evaluate_f_tau", failing)
-        res = solve_p4(sink_scenario(cap1=2.0), 1e9, PolicyConfig(mesh=0.1))
+        res = solve_p4(sink_scenario(cap1=0.8), 1e9, PolicyConfig(mesh=0.1))
         assert calls[:2] == [0.6, 0.3]
         assert [t for t in calls if t > 0.6] == []
         assert 0.0 < res.tau_star < 0.6 and res.tau_star != 0.3
