@@ -107,6 +107,17 @@ class TestBisection:
         res = solve_p2(s, PolicyConfig(epsilon=math.ulp(1.0)))
         assert res.tau_star == pytest.approx(2.2, abs=1e-9)
 
+    def test_without_expansion_clamps_to_bracket(self):
+        # with no absorption outside the shed, balance holds the top at 1
+        # although the shed's own bound is 2.2, and tau* reaches that top
+        s = sink_scenario(cap1=2.0)
+        s = dataclasses.replace(s, budgets=dataclasses.replace(
+            s.budgets, cap_minus=np.zeros_like(s.budgets.cap_minus)))
+        assert policy._top_floor(s) == 1.0
+        res = solve_p2(s)
+        assert res.tau_star == pytest.approx(1.0, abs=2e-6)
+        assert res.tau_star <= 1.0
+
     def test_unknown_shed_bus_is_located(self):
         # the baseline validates the scenario before any shed sum is taken
         s = dataclasses.replace(sink_scenario(), partition=Partition(sheds=((0, (1, 9)),)))
