@@ -32,7 +32,6 @@ from .netmodel import (
     validate_scenario,
 )
 from .policy import (
-    PolicyConfig,
     PolicyInputError,
     PolicyResult,
     baseline,
@@ -63,7 +62,7 @@ __all__ = [
     "ScenarioError", "TimeGrid", "ValidationReport",
     "load_scenario", "parse_matpower_case", "parse_profiles",
     "profiles_to_csv", "serialize_network_case", "validate_scenario",
-    "PolicyConfig", "PolicyInputError", "PolicyResult",
+    "PolicyInputError", "PolicyResult",
     "baseline", "pareto_front", "solve_p2", "solve_p4",
     "BuildError", "InfeasibleError", "OperationReport", "PolicyError",
     "VariableLayout", "build_p1", "evaluate_f_tau", "extract_report",

@@ -34,7 +34,7 @@ from .netmodel import (
     shed_rows,
     validate_scenario,
 )
-from .policy import PolicyConfig, baseline, pareto_front, solve_p2, solve_p4
+from .policy import EPSILON, MESH, ZETA_GRID, baseline, pareto_front, solve_p2, solve_p4
 from .problems import BuildError, InfeasibleError, PolicyError, build_p1, extract_report
 from .qpcore import solve_qp
 
@@ -173,13 +173,14 @@ def _by_id(values, scale=1.0):
     return {str(k): v * scale for k, v in values.items()}
 
 
-def _report_summary(scenario, report, extra=None):
-    """JSON summary with per-unit values plus MVA/MWh conversions."""
+def _emit_report(run, scenario, report, **extra):
+    """report.json (summary plus the full report), or report.csv, one row
+    per load bus by increasing generation capacity cost, and summary.json.
+    The summary has per-unit values, their MW conversions and extra."""
     base = scenario.network.base_mva
-    hours = scenario.time_grid.step_hours
-    d = {
+    summary = {
         "base_mva": base,
-        "step_hours": hours,
+        "step_hours": scenario.time_grid.step_hours,
         "cost": report.cost,
         "min_ratio": report.min_ratio(),
         "shed_ratios": _by_id(report.shed_ratios),
@@ -187,14 +188,8 @@ def _report_summary(scenario, report, extra=None):
         "cap_plus_mw": _by_id(report.cap_plus, base),
         "cap_minus_pu": _by_id(report.cap_minus),
         "cap_minus_mw": _by_id(report.cap_minus, base),
+        **extra,
     }
-    d.update(extra or {})
-    return d
-
-
-def _emit_report(run, scenario, report, summary):
-    """report.json (summary plus the full report), or report.csv, one row
-    per load bus by increasing generation capacity cost, and summary.json."""
     if run.args.format == "json":
         run.write_json("report.json", {"summary": summary, "report": {
             "status": "optimal",  # extract_report makes a report of no other
@@ -215,16 +210,15 @@ def _emit_report(run, scenario, report, summary):
         run.write_json("summary.json", summary)
 
 
-def _policy_config(args):
-    kw = {k: getattr(args, k) for k in ("epsilon", "mesh")
-          if getattr(args, k, None) is not None}
-    if getattr(args, "zeta_grid", None):
-        with open(args.zeta_grid) as fh:
-            grid = json.load(fh)
-        if not isinstance(grid, list):
-            raise BuildError(f"zeta grid: expected a JSON list, got {grid!r}")
-        kw["zeta_grid"] = tuple(as_number(z, "zeta grid") for z in grid)
-    return PolicyConfig(**kw)
+def _zeta_grid(path):
+    """The zeta values of a --zeta-grid file, or the default grid without one."""
+    if not path:
+        return ZETA_GRID
+    with open(path) as fh:
+        grid = json.load(fh)
+    if not isinstance(grid, list):
+        raise BuildError(f"zeta grid: expected a JSON list, got {grid!r}")
+    return [as_number(z, "zeta grid") for z in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +249,25 @@ def _cmd_analyze(run):
     base = scenario.network.base_mva
     grid = [round(b, 10) for b in
             np.arange(0.0, run.args.max_budget + 1e-12, run.args.budget_step)]
+    up = scenario.budgets.export_upper if run.args.mode == "limits" else None
+    if run.args.mode == "limits" and up is None:
+        raise AnalysisError("scenario has no export limits; "
+                            "use mode 'unconstrained' or 'zero_export'")
     rows = []
     for shed_id, sel in zip(scenario.partition.shed_ids(), shed_rows(scenario)):
-        limit = None
-        if run.args.mode == "limits":
-            up = scenario.budgets.export_upper
-            if up is None:
-                raise AnalysisError("scenario has no export limits; "
-                                    "use mode 'unconstrained' or 'zero_export'")
-            limit = up[sel].sum(axis=0)
-        series = CommunitySeries(
-            gen=scenario.profiles.gen[sel].sum(axis=0),
-            load=scenario.profiles.load[sel].sum(axis=0),
-            cap_plus=scenario.budgets.cap_plus[sel].sum(axis=0),
-            export_limit=limit,
-        )
+        try:
+            series = CommunitySeries(
+                gen=scenario.profiles.gen[sel].sum(axis=0),
+                load=scenario.profiles.load[sel].sum(axis=0),
+                cap_plus=scenario.budgets.cap_plus[sel].sum(axis=0),
+                export_limit=None if up is None else up[sel].sum(axis=0),
+            )
+            curve = capacity_curve(series, grid, mode=run.args.mode)
+        except AnalysisError as exc:
+            raise AnalysisError(f"shed {shed_id}: {exc}") from None
         mwh = series.gamma * base * hours  # demand energy for conversions
         rows += [(str(shed_id), pt.budget, pt.budget * mwh, pt.max_ratio, run.args.mode)
-                 for pt in capacity_curve(series, grid, mode=run.args.mode)]
+                 for pt in curve]
     _emit_table(run, "curves", "points",
                 ["shed", "budget", "budget_mwh", "max_ratio", "mode"], rows)
     return EXIT_OK
@@ -308,50 +303,38 @@ def _cmd_solve_p1(run):
     x_min = _resolve_x_min(scenario, _x_min_value(run.args.x_min))
     prog, lay = build_p1(scenario, x_min)
     report = extract_report(scenario, lay, solve_qp(prog))
-    _emit_report(run, scenario, report,
-                 _report_summary(scenario, report, {"x_min": x_min}))
+    _emit_report(run, scenario, report, x_min=x_min)
     return EXIT_OK
 
 
 def _cmd_baseline(run):
     scenario = _load_checked(run)
-    report = baseline(scenario)
-    _emit_report(run, scenario, report, _report_summary(scenario, report))
+    _emit_report(run, scenario, baseline(scenario))
     return EXIT_OK
 
 
 def _cmd_design_p2(run):
     scenario = _load_checked(run)
-    res = solve_p2(scenario, _policy_config(run.args))
+    res = solve_p2(scenario, run.args.epsilon)
     _emit_table(run, "trace", "trace", ["tau", "feasible"], res.trace)
-    summary = _report_summary(scenario, res.report, {
-        "tau_star": res.tau_star,
-        "cost_normalized": res.cost_normalized,
-        "probes": res.probes,
-    })
-    _emit_report(run, scenario, res.report, summary)
+    _emit_report(run, scenario, res.report, tau_star=res.tau_star,
+                 cost_normalized=res.cost_normalized, probes=res.probes)
     return EXIT_OK
 
 
 def _cmd_design_p4(run):
     scenario = _load_checked(run)
-    res = solve_p4(scenario, run.args.zeta, _policy_config(run.args),
-                   threads=run.args.threads)
+    res = solve_p4(scenario, run.args.zeta, run.args.mesh, threads=run.args.threads)
     _emit_table(run, "trace", "trace", ["tau", "f_tau", "cost"], res.trace)
-    summary = _report_summary(scenario, res.report, {
-        "tau_star": res.tau_star,
-        "f_star": res.f_star,
-        "zeta": run.args.zeta,
-        "cost_normalized": res.cost_normalized,
-        "probes": res.probes,
-    })
-    _emit_report(run, scenario, res.report, summary)
+    _emit_report(run, scenario, res.report, tau_star=res.tau_star, f_star=res.f_star,
+                 zeta=run.args.zeta, cost_normalized=res.cost_normalized,
+                 probes=res.probes)
     return EXIT_OK
 
 
 def _cmd_pareto(run):
     scenario = _load_checked(run)
-    front = pareto_front(scenario, _policy_config(run.args),
+    front = pareto_front(scenario, _zeta_grid(run.args.zeta_grid), run.args.mesh,
                          threads=run.args.threads)
     _emit_table(run, "front", "front",
                 ["zeta", "tau_star", "cost_normalized"], front)
@@ -394,18 +377,20 @@ def build_parser():
 
     p = add("design-p2", _cmd_design_p2,
             "max-min ratio design (Dinkelbach iteration)")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="resolution of tau* (default 1e-6)")
+    p.add_argument("--epsilon", type=float, default=EPSILON,
+                   help="resolution of tau* (default %(default)s)")
 
     p = add("design-p4", _cmd_design_p4, "cost-aware floor design (sweep)")
     p.add_argument("--zeta", type=float, required=True,
                    help="welfare weight on the ratio term")
-    p.add_argument("--mesh", type=float, default=None)
+    p.add_argument("--mesh", type=float, default=MESH,
+                   help="floor step (default %(default)s)")
 
     p = add("pareto", _cmd_pareto, "ratio-vs-cost front over a zeta grid")
     p.add_argument("--zeta-grid", default=None,
                    help="JSON file with an ascending list of zeta values")
-    p.add_argument("--mesh", type=float, default=None)
+    p.add_argument("--mesh", type=float, default=MESH,
+                   help="floor step (default %(default)s)")
 
     return parser
 
@@ -415,6 +400,8 @@ def main(argv=None):
     run = None
     try:
         run = _Run(args)
+        if args.threads < 1:  # every command takes --threads; a sweep uses it
+            raise ValueError(f"threads must be at least 1, got {args.threads!r}")
         code = args.func(run)
     except (OSError, ValueError) as exc:  # every input error class is a ValueError
         print(f"error: {exc}", file=sys.stderr)

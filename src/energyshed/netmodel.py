@@ -598,6 +598,8 @@ def validate_scenario(scenario):
             rep.add("negative-weight", f"negative {label} entries")
 
     # partition invariants
+    if not scenario.partition.sheds:
+        rep.add("no-sheds", "partition has no sheds", location="partition")
     seen = set()
     load_buses = {bus.id for bus, is_load in zip(net.buses, loaded) if is_load}
     for k, nodes in scenario.partition.sheds:

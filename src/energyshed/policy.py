@@ -38,30 +38,13 @@ from .problems import (
 from .qpcore import FEAS_TOL, TOL, check_feasibility, solve_qp  # noqa: F401
 
 INF = math.inf
+EPSILON = 1e-6   # P2's resolution
+MESH = 0.01      # P4's floor step
+ZETA_GRID = tuple(float(z) for z in np.logspace(-2, 4, 13))  # the Pareto front's weights
 
 
 class PolicyInputError(PolicyError, ValueError):
     """A policy parameter out of its range (the CLI reports exit code 2)."""
-
-
-@dataclass
-class PolicyConfig:
-    """Design settings over floors [0, _top_floor]; all checked before a solve."""
-    epsilon: float = 1e-6
-    mesh: float = 0.01
-    zeta_grid: tuple[float, ...] = tuple(float(z) for z in np.logspace(-2, 4, 13))
-
-    def __post_init__(self):
-        # chained comparisons, so NaN fails each check; ulp(1.0) is the float
-        # spacing at the smallest top floor, 1
-        if not math.ulp(1.0) <= self.epsilon < INF:
-            raise PolicyInputError("epsilon must be finite and at least "
-                                   f"{math.ulp(1.0)!r}, the float spacing at 1")
-        if not 0 < self.mesh < INF:
-            raise PolicyInputError("mesh must be positive and finite")
-        grid = list(self.zeta_grid)
-        if not grid or not all(0 < z < INF for z in grid) or sorted(grid) != grid:
-            raise PolicyInputError("zeta grid must be nonempty, ascending, positive, finite")
 
 
 @dataclass
@@ -100,8 +83,12 @@ def _top_floor(scenario):
     return float(max(1.0, min(balance, per_shed)))
 
 
-def solve_p2(scenario, cfg=None):
+def solve_p2(scenario, epsilon=EPSILON):
     """Maximize the minimum shed ratio by Dinkelbach's iteration.
+
+    epsilon, the resolution of tau*, is checked before any solve: finite
+    and at least math.ulp(1.0), the float spacing at the smallest top
+    floor, 1.
 
     The baseline is solved first: it validates the scenario, raises
     InfeasibleError if no dispatch meets the network constraints, and is
@@ -122,10 +109,12 @@ def solve_p2(scenario, cfg=None):
     step's optimum is t = max_x min_k N_k(x)/L_k >= 0, so a t just below 0
     there is solver noise, and stops the iteration at tau_star = 0.
     """
-    cfg = cfg or PolicyConfig()
+    if not math.ulp(1.0) <= epsilon < INF:  # chained, so NaN fails it
+        raise PolicyInputError("epsilon must be finite and at least "
+                               f"{math.ulp(1.0)!r}, the float spacing at 1")
     cost0 = baseline(scenario).cost
     hi = _top_floor(scenario)
-    n_iter = max(1, math.ceil(math.log2(hi / cfg.epsilon)))
+    n_iter = max(1, math.ceil(math.log2(hi / epsilon)))
     h = hi / 2 ** n_iter
 
     def cell(tau):
@@ -167,9 +156,9 @@ class _Floor(NamedTuple):
                      # if infeasible, -inf after max_iter (which proves nothing)
 
 
-def _floor(value, report, status):
-    """The cache entry of evaluate_f_tau's (value, report, status); the
-    value depends on zeta, so the cache keeps none."""
+def _floor(report, status):
+    """The cache entry of evaluate_f_tau's report and status; its value
+    depends on zeta, so the cache keeps none."""
     if report is None:
         return _Floor(None, INF if status == "infeasible" else -INF)
     # the primal objective overshoots the optimum by at most the duality
@@ -183,8 +172,11 @@ def _grid(lo, hi, step):
     return pts[pts <= hi + 1e-9 * step]
 
 
-def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
+def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
     """Maximize f(tau) = tau - cost(tau)/zeta over a mesh of floors.
+
+    zeta and the floor step mesh must be positive and finite, and threads
+    at least 1; each is checked before any solve.
 
     The answer is that of a full sweep: the best mesh point of [0, top],
     top = _top_floor(scenario) (ties to the smaller floor), then the best
@@ -212,14 +204,16 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
     the mesh's first point is always solved and the sweep always returns
     a floor (or baseline has raised).
     """
+    # chained comparisons, so NaN fails each check
+    if not 0 < mesh < INF:
+        raise PolicyInputError("mesh must be positive and finite")
     if not 0 < zeta < INF:
         raise PolicyInputError("zeta must be positive and finite")
     if threads < 1:
         raise PolicyInputError(f"threads must be at least 1, got {threads!r}")
-    cfg = cfg or PolicyConfig()
     cache = cost_cache if cost_cache is not None else {}
     if 0.0 not in cache:
-        cache[0.0] = _floor(None, baseline(scenario), "optimal")
+        cache[0.0] = _floor(baseline(scenario), "optimal")
     top = _top_floor(scenario)  # after the baseline, which validates the scenario
     visited = set()  # the rounded taus this call sweeps
 
@@ -244,16 +238,15 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
             runs = [list(run) for _, run in groupby(todo, lambda t: bisect(solved, t))]
             batch = [run[len(run) // 2] for run in runs]
             cache.update(zip(batch, pool.map(
-                lambda t: _floor(*evaluate_f_tau(scenario, t, zeta)), batch)))
+                lambda t: _floor(*evaluate_f_tau(scenario, t, zeta)[1:]), batch)))
         vals = [value(k) for k in keys]
         i = vals.index(max(vals))  # the first maximum: ties go to the smaller tau
         return points[i], vals[i]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        incumbent, best_val = sweep(_grid(0.0, top, cfg.mesh))
-        step = cfg.mesh / 10.0
-        cand, cand_val = sweep(_grid(max(0.0, incumbent - cfg.mesh),
-                                     min(top, incumbent + cfg.mesh), step),
+        incumbent, best_val = sweep(_grid(0.0, top, mesh))
+        cand, cand_val = sweep(_grid(max(0.0, incumbent - mesh),
+                                     min(top, incumbent + mesh), mesh / 10.0),
                                best_val)
     if cand_val > best_val:
         incumbent, best_val = cand, cand_val
@@ -267,17 +260,20 @@ def solve_p4(scenario, zeta, cfg=None, cost_cache=None, threads=1):
                         report=report, trace=trace, f_star=float(best_val))
 
 
-def pareto_front(scenario, cfg=None, threads=1):
-    """(zeta, tau*, cost_normalized) along the configured zeta grid.
+def pareto_front(scenario, zeta_grid=ZETA_GRID, mesh=MESH, threads=1):
+    """(zeta, tau*, cost_normalized) for each zeta of zeta_grid, by solve_p4.
 
-    One cost cache, anchored by the baseline at floor 0, serves the whole
-    grid: a floor solved for one zeta is reused, and bounds the floors
-    above it, for every other zeta.
+    The grid is checked before any solve: nonempty, ascending, each zeta
+    positive and finite.  One cost cache, anchored by the baseline at
+    floor 0, serves the whole grid: a floor solved for one zeta is reused,
+    and bounds the floors above it, for every other zeta.
     """
-    cfg = cfg or PolicyConfig()
+    grid = list(zeta_grid)
+    if not grid or not all(0 < z < INF for z in grid) or sorted(grid) != grid:
+        raise PolicyInputError("zeta grid must be nonempty, ascending, positive, finite")
     cache = {}
     front = []
-    for zeta in cfg.zeta_grid:
-        res = solve_p4(scenario, zeta, cfg, cost_cache=cache, threads=threads)
+    for zeta in grid:
+        res = solve_p4(scenario, zeta, mesh, cost_cache=cache, threads=threads)
         front.append((zeta, res.tau_star, res.cost_normalized))
     return front

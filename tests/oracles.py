@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from energyshed.netmodel import ScenarioError, shed_rows
-from energyshed.policy import PolicyConfig, _top_floor
+from energyshed.policy import _top_floor
 from energyshed.problems import BuildError, VariableLayout, build_p1, evaluate_f_tau
 from energyshed.qpcore import FEAS_TOL, QPError, QuadProgram, check_feasibility
 
@@ -130,7 +130,7 @@ def grid_minimize(objective, boxes, resolution):
     return best_val, best_pt
 
 
-def bisection_p2(scenario, cfg=None):
+def bisection_p2(scenario, epsilon):
     """(tau*, trace) of P2 by bisection, one phase-1 solve per probe.
 
     Runs exactly ceil(log2(top/epsilon)) probes at the midpoints of the
@@ -138,9 +138,8 @@ def bisection_p2(scenario, cfg=None):
     so if every probe is infeasible tau* is 0.  trace lists (tau,
     feasible) per probe.
     """
-    cfg = cfg or PolicyConfig()
     lo, hi = 0.0, _top_floor(scenario)
-    n_iter = max(1, math.ceil(math.log2(hi / cfg.epsilon)))
+    n_iter = max(1, math.ceil(math.log2(hi / epsilon)))
     trace = []
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
@@ -158,7 +157,7 @@ def _sweep_points(lo, hi, step):
     return pts[pts <= hi + 1e-9 * step]
 
 
-def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
+def full_sweep_p4(scenario, zeta, mesh, cache=None):
     """P4 by solving every point of both sweeps.
 
     The mesh over [0, _top_floor(scenario)], then the tenfold-finer mesh
@@ -170,7 +169,6 @@ def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
     cache ({round(tau, 12): report or None}) may be shared across calls on
     one scenario, since the cost solves do not depend on zeta.
     """
-    cfg = cfg or PolicyConfig()
     cache = {} if cache is None else cache
     seen = set()
 
@@ -188,10 +186,10 @@ def full_sweep_p4(scenario, zeta, cfg=None, cache=None):
         return best_tau, best_val
 
     top = _top_floor(scenario)
-    tau_star, f_star = sweep(_sweep_points(0.0, top, cfg.mesh))
-    cand, val = sweep(_sweep_points(max(0.0, tau_star - cfg.mesh),
-                                    min(top, tau_star + cfg.mesh),
-                                    cfg.mesh / 10.0))
+    tau_star, f_star = sweep(_sweep_points(0.0, top, mesh))
+    cand, val = sweep(_sweep_points(max(0.0, tau_star - mesh),
+                                    min(top, tau_star + mesh),
+                                    mesh / 10.0))
     if val > f_star:
         tau_star, f_star = cand, val
     report = cache[round(tau_star, 12)]

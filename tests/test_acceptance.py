@@ -163,7 +163,7 @@ def test_criterion_2_closed_form_vs_optimizer(capsys):
 def test_criterion_3_bisection_budget(capsys):
     rng = np.random.default_rng(37)
     scen, _ = single_shed_scenario(rng, limited=False)
-    res = solve_p2(scen)  # default config: epsilon 1e-6 on [0, 1]
+    res = solve_p2(scen)  # default epsilon 1e-6 on [0, 1]
     _TRACES.append(("criterion3", res.trace))
     eps = 1e-6
     below = check_feasibility(build_p3(scen, res.tau_star - 2 * eps))

@@ -10,6 +10,7 @@ import pytest
 import energyshed
 from energyshed import cli, policy, problems
 from energyshed.cli import main
+from energyshed.netmodel import load_scenario
 
 CASE = """
 function mpc = tiny
@@ -31,24 +32,31 @@ PROFILES = """bus,kind,t1,t2
 """
 
 
+SCENARIO = {
+    "case_file": "tiny.m",
+    "profiles_file": "tiny.csv",
+    "step_hours": 1.0,
+    "partition": [[1]],
+    "cap_plus": {"1": 0.3, "3": 10.0},
+    "cap_minus": {"3": 10.0},
+    "alpha": {"1": 1.0, "2": 1.0, "3": 1.0},
+    "beta": {"1": 1.0, "2": 1.0, "3": 1.0},
+    "flex_only_at_load_buses": False,
+}
+
+
+def write_scenario(directory, scenario=SCENARIO):
+    """tiny.m, tiny.csv and scenario as tiny.json in directory; the JSON's path."""
+    (directory / "tiny.m").write_text(CASE)
+    (directory / "tiny.csv").write_text(PROFILES)
+    path = directory / "tiny.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
-    (tmp_path / "tiny.m").write_text(CASE)
-    (tmp_path / "tiny.csv").write_text(PROFILES)
-    cfg = {
-        "case_file": "tiny.m",
-        "profiles_file": "tiny.csv",
-        "step_hours": 1.0,
-        "partition": [[1]],
-        "cap_plus": {"1": 0.3, "3": 10.0},
-        "cap_minus": {"3": 10.0},
-        "alpha": {"1": 1.0, "2": 1.0, "3": 1.0},
-        "beta": {"1": 1.0, "2": 1.0, "3": 1.0},
-        "flex_only_at_load_buses": False,
-    }
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(cfg))
-    return str(path)
+    return write_scenario(tmp_path)
 
 
 def run(args, out):
@@ -132,6 +140,15 @@ class TestExitCodes:
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["exit_code"] == 2
 
+    def test_floor_file_missing_shed(self, scenario_file, tmp_path, capsys):
+        path = tmp_path / "floors.json"
+        path.write_text('{"1": 0.3}')
+        assert run(["solve-p1", "--scenario", scenario_file,
+                    "--x-min", str(path)], tmp_path / "o") == 2
+        assert "x-min file missing shed id(s): [0]" in capsys.readouterr().err
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["exit_code"] == 2
+
     def test_missing_floor_file(self, scenario_file, tmp_path, capsys):
         # a mistyped path is neither a file nor a number; say which
         assert run(["solve-p1", "--scenario", scenario_file,
@@ -182,6 +199,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value, where", [
         ("cap_plus", {"1": None}, "cap_plus: bus 1"),
         ("cap_plus", [1, 2], "cap_plus"),
+        ("cap_plus", {"1": [0.3]}, "cap_plus: bus 1 needs 2 values, got 1"),
         ("alpha", {"1": [1, 2]}, "alpha: bus 1"),
         ("export_limits", None, "export_limits"),
         ("partition", [[None]], "partition: shed 0"),
@@ -190,7 +208,8 @@ class TestExitCodes:
         ("flex_only_at_load_buses", "no", "flex_only_at_load_buses"),
         ("flex_only_at_load_buses", 1, "flex_only_at_load_buses"),
         ("flex_only_at_load_buses", None, "flex_only_at_load_buses"),
-    ], ids=["null-budget", "list-budget", "list-weight", "null-limits",
+    ], ids=["null-budget", "list-budget", "short-per-step-budget", "list-weight",
+            "null-limits",
             "null-shed-bus", "null-step-hours", "numeric-case-file",
             "string-flex-flag", "int-flex-flag", "null-flex-flag"])
     def test_malformed_scenario(self, scenario_file, tmp_path, capsys,
@@ -218,6 +237,36 @@ class TestExitCodes:
                 "location": "shed 0"} in doc["violations"]
         assert (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("cmd", [["validate"], ["baseline"], ["design-p2"],
+                                     ["design-p4", "--zeta", "1"], ["pareto"]],
+                             ids=lambda c: c[0])
+    def test_no_sheds(self, scenario_file, tmp_path, capsys, cmd):
+        # no load and no shed: a located violation, not a failed shed sum
+        (tmp_path / "tiny.csv").write_text("bus,kind,t1,t2\n")
+        cfg = json.loads(open(scenario_file).read())
+        cfg["partition"] = []
+        with open(scenario_file, "w") as fh:
+            json.dump(cfg, fh)
+        assert run([cmd[0], "--scenario", scenario_file, *cmd[1:]], tmp_path / "o") == 2
+        assert "validation: [no-sheds] partition has no sheds (partition)" \
+            in capsys.readouterr().err
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["exit_code"] == 2
+
+    def test_analyze_names_the_failing_shed(self, scenario_file, tmp_path, capsys):
+        # shed 0's generation covers its load: no deficit to analyze
+        (tmp_path / "tiny.csv").write_text(PROFILES.replace("gen,0.2,0.2", "gen,1.5,1.5"))
+        assert run(["analyze", "--scenario", scenario_file], tmp_path / "o") == 2
+        assert "error: shed 0: community must have a pre-flexibility energy deficit" \
+            in capsys.readouterr().err
+        assert (tmp_path / "o" / "manifest.json").exists()
+
+    def test_analyze_limits_without_export_limits(self, scenario_file, tmp_path, capsys):
+        assert run(["analyze", "--scenario", scenario_file, "--mode", "limits"],
+                   tmp_path / "o") == 2
+        assert "scenario has no export limits" in capsys.readouterr().err
+        assert (tmp_path / "o" / "manifest.json").exists()
+
     @pytest.mark.parametrize("args", [
         ["design-p4", "--zeta", "nan"],
         ["design-p4", "--zeta", "inf"],
@@ -233,11 +282,18 @@ class TestExitCodes:
         ["design-p4", "--zeta", "1.0", "--threads", "-1"],
         ["pareto", "--threads", "0"],
         ["pareto", "--threads", "-1"],
+        ["solve-p1", "--x-min", "0.4", "--threads", "0"],
+        ["baseline", "--threads", "0"],
+        ["validate", "--threads", "-1"],
+        ["analyze", "--threads", "0"],
+        ["design-p2", "--threads", "-3"],
     ], ids=["zeta-nan", "zeta-inf", "mesh-nan", "epsilon-inf", "epsilon-zero",
             "epsilon-below-float-spacing",
             "budget-step-zero", "budget-step-nan", "max-budget-inf",
             "max-budget-negative", "p4-threads-zero", "p4-threads-negative",
-            "pareto-threads-zero", "pareto-threads-negative"])
+            "pareto-threads-zero", "pareto-threads-negative", "p1-threads-zero",
+            "baseline-threads-zero", "validate-threads-negative",
+            "analyze-threads-zero", "p2-threads-negative"])
     def test_bad_numeric_flag(self, scenario_file, tmp_path, capsys, args):
         assert run(args[:1] + ["--scenario", scenario_file] + args[1:],
                    tmp_path / "o") == 2
@@ -424,6 +480,36 @@ class TestOutputs:
         # base ratio 0.2, unit slope in normalized budget
         ratios = [float(r["max_ratio"]) for r in rows]
         assert ratios == pytest.approx([0.2, 0.7, 1.2])
+
+    def test_analyze_limits(self, scenario_file, tmp_path):
+        # a per-step export limit of 1 at bus 1: the unconstrained line up to
+        # budget 1, then spilled capacity inflates the demand
+        cfg = json.loads(open(scenario_file).read())
+        cfg["export_limits"] = {"upper": {"1": [1.0, 1.0]}}
+        with open(scenario_file, "w") as fh:
+            json.dump(cfg, fh)
+        assert run(["analyze", "--scenario", scenario_file, "--mode", "limits",
+                    "--budget-step", "1.0", "--max-budget", "2.0"], tmp_path / "o") == 0
+        rows = read_csv(tmp_path / "o" / "curves.csv")
+        assert {r["mode"] for r in rows} == {"limits"}
+        assert [float(r["max_ratio"]) for r in rows] == pytest.approx([0.2, 1.2, 1.1])
+
+    def test_per_step_budget(self, scenario_file, tmp_path):
+        cfg = json.loads(open(scenario_file).read())
+        cfg["cap_plus"]["1"] = [0.3, 0.1]
+        with open(scenario_file, "w") as fh:
+            json.dump(cfg, fh)
+        assert run(["validate", "--scenario", scenario_file], tmp_path / "o") == 0
+        assert load_scenario(scenario_file).budgets.cap_plus[0].tolist() == [0.3, 0.1]
+
+    def test_defaults_are_the_designs_own(self, scenario_file, tmp_path):
+        # the manifest records the epsilon and mesh that a design ran with
+        parse = cli.build_parser().parse_args
+        for cmd in (["design-p4", "--zeta", "1"], ["pareto"]):
+            assert parse([cmd[0], "--scenario", scenario_file, *cmd[1:]]).mesh == policy.MESH
+        assert run(["design-p2", "--scenario", scenario_file], tmp_path / "o") == 0
+        man = strict_json(tmp_path / "o" / "manifest.json")
+        assert man["config"]["epsilon"] == policy.EPSILON == 1e-6
 
     def test_json_format(self, scenario_file, tmp_path):
         assert run(["baseline", "--scenario", scenario_file,

@@ -3,10 +3,14 @@
 Each example applies a few single-character edits (replace, insert,
 delete) to a bundled file.  The parsers must return a value or raise
 their own located error; the CLI must exit 0 or 2 with a manifest.
+The scenario JSON is fuzzed too: one top-level key of the CLI tests'
+tiny scenario dropped or replaced by an ill-typed or out-of-range value,
+on which every command ends with one of its exit codes.
 """
 
 import json
 import os
+import pathlib
 import shutil
 import tempfile
 
@@ -14,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import data_path
+from test_cli import SCENARIO, write_scenario
 from energyshed.cli import main
 from energyshed.netmodel import (
     CaseParseError,
@@ -80,4 +85,28 @@ def test_cli_validate_on_mutated_scenario(capsys, name, data):
         assert code in (0, 2)
         with open(os.path.join(out, "manifest.json")) as fh:
             assert json.load(fh)["exit_code"] == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# ill-typed, out-of-range and unknown-id values for any scenario key
+POOL = [None, "x", -1, 0, 1e308, [], {}, True, [[]], {"1": -1}, {"1": [1, 2]},
+        {"999": 1}, [[1], [1]]]
+
+
+@given(key=st.sampled_from(sorted(SCENARIO)),
+       value=st.one_of(st.just("drop"), st.sampled_from(POOL)))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_on_mutated_scenario_json(capsys, key, value):
+    scenario = {k: v for k, v in SCENARIO.items() if k != key}
+    if value != "drop":
+        scenario[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(pathlib.Path(tmp), scenario)
+        for cmd in ("validate", "analyze", "baseline"):
+            out = os.path.join(tmp, cmd)
+            code = main([cmd, "--scenario", path, "--out", out])
+            assert code in (0, 2, 3, 4)
+            with open(os.path.join(out, "manifest.json")) as fh:
+                assert json.load(fh)["exit_code"] == code
     assert "Traceback" not in capsys.readouterr().err

@@ -12,7 +12,6 @@ from conftest import make_line_scenario, single_shed_scenario
 from energyshed import BuildError, InfeasibleError, policy, qpcore
 from energyshed.netmodel import Partition
 from energyshed.policy import (
-    PolicyConfig,
     PolicyError,
     PolicyInputError,
     baseline,
@@ -69,7 +68,7 @@ class TestBisection:
         assert res.tau_star == pytest.approx(closed_form_bound(s), abs=2e-6)
 
     def test_probe_budget(self):
-        res = solve_p2(sink_scenario(), PolicyConfig(epsilon=1e-6))
+        res = solve_p2(sink_scenario(), epsilon=1e-6)
         assert res.probes <= 20
         assert res.probes <= 3
 
@@ -80,10 +79,8 @@ class TestBisection:
         assert not feas or not infeas or max(feas) < min(infeas)
 
     def test_two_epsilon_bracketing(self):
-        s = sink_scenario()
-        cfg = PolicyConfig(epsilon=1e-6)
-        res = solve_p2(s, cfg)
-        eps = cfg.epsilon
+        s, eps = sink_scenario(), 1e-6
+        res = solve_p2(s, eps)
         assert check_feasibility(
             build_p3(s, res.tau_star - 2 * eps)) == "feasible"
         assert check_feasibility(
@@ -104,7 +101,7 @@ class TestBisection:
         s = sink_scenario(cap1=2.0)
         assert policy._top_floor(s) == pytest.approx(2.2)
         assert solve_p2(s).tau_star == pytest.approx(2.2, abs=2e-6)
-        res = solve_p2(s, PolicyConfig(epsilon=math.ulp(1.0)))
+        res = solve_p2(s, math.ulp(1.0))
         assert res.tau_star == pytest.approx(2.2, abs=1e-9)
 
     def test_without_expansion_clamps_to_bracket(self):
@@ -159,28 +156,43 @@ class TestBisection:
         res = solve_p2(sink_scenario())
         assert res.cost_normalized >= 1.0 - 1e-6
 
-    def test_config_validation(self):
-        with pytest.raises(PolicyError):
-            PolicyConfig(epsilon=0.0)
-        with pytest.raises(PolicyError):
-            PolicyConfig(mesh=-0.1)
+    def test_config_validation(self, monkeypatch):
         # the top floor is at least 1: P2 resolves no cell finer than ulp(1.0)
-        PolicyConfig(epsilon=math.ulp(1.0))
-        with pytest.raises(PolicyInputError, match="epsilon"):
-            PolicyConfig(epsilon=math.ulp(1.0) / 2)
+        for name, value in (("epsilon", 0.0), ("epsilon", math.ulp(1.0) / 2),
+                            ("mesh", -0.1)):
+            rejected_before_any_solve(monkeypatch, name, value, name)
 
     @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"epsilon": math.inf},
                                     {"mesh": math.nan}, {"mesh": math.inf}],
                              ids=["eps-nan", "eps-inf", "mesh-nan", "mesh-inf"])
-    def test_non_finite_config_rejected(self, kw):
-        with pytest.raises(PolicyInputError):
-            PolicyConfig(**kw)
+    def test_non_finite_config_rejected(self, monkeypatch, kw):
+        [(name, value)] = kw.items()
+        rejected_before_any_solve(monkeypatch, name, value, "finite")
 
     @pytest.mark.parametrize("grid", [(1.0, math.inf), (math.nan,), (), (2.0, 1.0)],
                              ids=["inf", "nan", "empty", "descending"])
-    def test_zeta_grid_rejected(self, grid):
-        with pytest.raises(PolicyInputError, match="zeta grid"):
-            PolicyConfig(zeta_grid=grid)
+    def test_zeta_grid_rejected(self, monkeypatch, grid):
+        rejected_before_any_solve(monkeypatch, "zeta_grid", grid, "zeta grid")
+
+
+# each design that reads a setting, called with a value for it
+SETTING_READERS = {
+    "epsilon": [lambda s, v: solve_p2(s, epsilon=v)],
+    "mesh": [lambda s, v: solve_p4(s, 1.0, mesh=v), lambda s, v: pareto_front(s, mesh=v)],
+    "zeta_grid": [lambda s, v: pareto_front(s, zeta_grid=v)],
+}
+
+
+def rejected_before_any_solve(monkeypatch, name, value, match):
+    """Every design that reads setting name raises PolicyInputError on value
+    before it solves anything."""
+    solves = []
+    monkeypatch.setattr(policy, "solve_qp", lambda *a: solves.append(a))
+    monkeypatch.setattr(policy, "evaluate_f_tau", lambda *a: solves.append(a))
+    for design in SETTING_READERS[name]:
+        with pytest.raises(PolicyInputError, match=match):
+            design(sink_scenario(), value)
+    assert solves == []
 
 
 def with_cap_cut(scenario, shed_index, factor):
@@ -235,26 +247,26 @@ class TestAgainstBisection:
                              ids=["medium", "shed0-x0.2", "shed7-x0.15"])
     def test_medium_variants(self, scenario_medium, monkeypatch, cut):
         s = scenario_medium if cut is None else with_cap_cut(scenario_medium, *cut)
-        cfg = PolicyConfig(epsilon=1e-3)
-        oracle, _ = bisection_p2(s, cfg)
+        eps = 1e-3
+        oracle, _ = bisection_p2(s, eps)
         rec = StepRecorder(monkeypatch)
-        res = solve_p2(s, cfg)
+        res = solve_p2(s, eps)
         assert res.tau_star == oracle
         assert res.probes == len(rec.steps) <= 3
         # every step's bound is a certificate: it never cuts below tau*
-        assert min(rec.upper_bounds(shed_loads(s))) >= oracle - cfg.epsilon
+        assert min(rec.upper_bounds(shed_loads(s))) >= oracle - eps
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), limited=st.booleans())
     def test_line_cases(self, seed, limited):
         s, _ = single_shed_scenario(np.random.default_rng(seed), limited)
-        cfg = PolicyConfig(epsilon=1e-6)
-        oracle, _ = bisection_p2(s, cfg)
+        eps = 1e-6
+        oracle, _ = bisection_p2(s, eps)
         with pytest.MonkeyPatch.context() as mp:
             rec = StepRecorder(mp)
-            res = solve_p2(s, cfg)
-        assert abs(res.tau_star - oracle) <= cfg.epsilon
-        assert min(rec.upper_bounds(shed_loads(s))) >= oracle - cfg.epsilon
+            res = solve_p2(s, eps)
+        assert abs(res.tau_star - oracle) <= eps
+        assert min(rec.upper_bounds(shed_loads(s))) >= oracle - eps
 
     def test_no_phase1_solves(self, monkeypatch):
         calls = []
@@ -265,7 +277,7 @@ class TestAgainstBisection:
 
         monkeypatch.setattr(policy, "check_feasibility", counting)
         monkeypatch.setattr(qpcore, "check_feasibility", counting)
-        res = solve_p2(sink_scenario(), PolicyConfig(epsilon=1e-6))
+        res = solve_p2(sink_scenario(), epsilon=1e-6)
         assert res.tau_star == pytest.approx(0.5, abs=2e-6)
         assert calls == []
 
@@ -288,7 +300,7 @@ class TestAgainstBisection:
 
         monkeypatch.setattr(policy, "shed_terms", stuck)
         with pytest.raises(PolicyError, match="2 LPs") as exc:
-            solve_p2(sink_scenario(), PolicyConfig(epsilon=0.25))
+            solve_p2(sink_scenario(), epsilon=0.25)
         assert not isinstance(exc.value, InfeasibleError)
 
     def test_step_not_converged_is_solver_failure(self, monkeypatch):
@@ -318,22 +330,21 @@ class TestBaseline:
 class TestSweep:
     def test_large_zeta_recovers_max_ratio(self):
         s = sink_scenario()
-        cfg = PolicyConfig(mesh=0.01)
-        p2 = solve_p2(s, cfg)
-        p4 = solve_p4(s, 1e9, cfg)
-        assert abs(p4.tau_star - p2.tau_star) <= cfg.mesh + 1e-9
-        assert p4.f_star <= p2.tau_star + cfg.mesh
+        mesh = 0.01
+        p2 = solve_p2(s)
+        p4 = solve_p4(s, 1e9, mesh)
+        assert abs(p4.tau_star - p2.tau_star) <= mesh + 1e-9
+        assert p4.f_star <= p2.tau_star + mesh
 
     def test_small_zeta_recovers_baseline_cost(self):
-        res = solve_p4(sink_scenario(), 1e-9, PolicyConfig(mesh=0.05))
+        res = solve_p4(sink_scenario(), 1e-9, mesh=0.05)
         assert res.cost_normalized <= 1.0 + 1e-4
 
     def test_trace_sorted_and_complete(self):
         # the trace lists the solved floors, each a row of the full sweep
         s = sink_scenario()
-        cfg = PolicyConfig(mesh=0.1)
-        res = solve_p4(s, 10.0, cfg)
-        full = full_sweep_p4(s, 10.0, cfg)
+        res = solve_p4(s, 10.0, mesh=0.1)
+        full = full_sweep_p4(s, 10.0, mesh=0.1)
         taus = [t for t, _, _ in res.trace]
         assert taus == sorted(taus)
         assert res.probes == len(res.trace)
@@ -346,7 +357,7 @@ class TestSweep:
         # lie outside the bracket and are not swept
         s = sink_scenario(cap1=0.8)  # tau* = 0.2 + 1.6 / 2 = 1, the top
         assert policy._top_floor(s) == 1.0
-        res = solve_p4(s, 1e9, PolicyConfig(mesh=0.15))
+        res = solve_p4(s, 1e9, mesh=0.15)
         assert max(t for t, _, _ in res.trace) <= 1.0
         assert 0.99 - 1e-9 <= res.tau_star <= 1.0
 
@@ -361,7 +372,7 @@ class TestSweep:
 
     def test_infeasible_points_marked_not_fatal(self):
         s = sink_scenario(cap1=0.3)
-        res = solve_p4(s, 1e9, PolicyConfig(mesh=0.25))
+        res = solve_p4(s, 1e9, mesh=0.25)
         vals = {t: f for t, f, _ in res.trace}
         assert vals[0.75] == -np.inf     # beyond the 0.5 frontier
         assert res.tau_star <= 0.5 + 1e-9
@@ -377,9 +388,8 @@ class TestSweep:
 
     def test_threads_do_not_change_results(self):
         s = sink_scenario()
-        cfg = PolicyConfig(mesh=0.1)
-        a = solve_p4(s, 50.0, cfg)
-        b = solve_p4(s, 50.0, cfg, threads=4)
+        a = solve_p4(s, 50.0, mesh=0.1)
+        b = solve_p4(s, 50.0, mesh=0.1, threads=4)
         assert a.tau_star == b.tau_star
         assert a.trace == b.trace
 
@@ -387,10 +397,7 @@ class TestSweep:
 class TestParetoFront:
     def test_monotone_tau_and_normalized_cost(self):
         s = sink_scenario(alpha=[5.0, 1.0, 1.0])
-        cfg = PolicyConfig(mesh=0.05,
-                           zeta_grid=tuple(float(z)
-                                           for z in np.logspace(-2, 3, 6)))
-        front = pareto_front(s, cfg)
+        front = pareto_front(s, [float(z) for z in np.logspace(-2, 3, 6)], mesh=0.05)
         taus = [t for _, t, _ in front]
         costs = [c for _, _, c in front]
         assert taus == sorted(taus)
@@ -399,10 +406,9 @@ class TestParetoFront:
 
     def test_shared_cost_cache_matches_isolated_sweeps(self):
         s = sink_scenario()
-        cfg = PolicyConfig(mesh=0.1, zeta_grid=(0.5, 50.0))
-        front = pareto_front(s, cfg)
+        front = pareto_front(s, (0.5, 50.0), mesh=0.1)
         for zeta, tau_star, cost_norm in front:
-            solo = solve_p4(s, zeta, cfg)
+            solo = solve_p4(s, zeta, mesh=0.1)
             assert solo.tau_star == tau_star
             assert solo.cost_normalized == pytest.approx(cost_norm, rel=1e-12)
 
@@ -410,9 +416,8 @@ class TestParetoFront:
         # one sweep path: no floor of the whole front is solved twice, the
         # baseline stands in for floor 0, and the pool solves the same floors
         s = sink_scenario()
-        cfg = PolicyConfig(mesh=0.1, zeta_grid=(0.5, 50.0))
-        swept = {t for zeta in cfg.zeta_grid
-                 for t, _, _ in full_sweep_p4(s, zeta, cfg).trace}
+        grid = (0.5, 50.0)
+        swept = {t for zeta in grid for t, _, _ in full_sweep_p4(s, zeta, 0.1).trace}
         evaluate = policy.evaluate_f_tau
         fronts, solved = {}, {}
         for threads in (1, 2):
@@ -423,7 +428,7 @@ class TestParetoFront:
                 return evaluate(scenario, tau, zeta)
 
             monkeypatch.setattr(policy, "evaluate_f_tau", counting)
-            fronts[threads] = pareto_front(s, cfg, threads=threads)
+            fronts[threads] = pareto_front(s, grid, mesh=0.1, threads=threads)
             assert len(calls) == len(set(calls)), threads
             assert set(calls) <= swept - {0.0}, threads
             solved[threads] = sorted(calls)
@@ -434,19 +439,16 @@ class TestParetoFront:
         # at mesh 0.25, medium's tau* 0.475 comes from refinement sweeps
         # around different incumbents: 0 + 19 * 0.025 and 0.25 + 9 * 0.025
         # differ in the last bits, the rounded floor does not
-        cfg = PolicyConfig(mesh=0.25, zeta_grid=PolicyConfig().zeta_grid[2:5])
-        front = pareto_front(scenario_medium, cfg)
+        front = pareto_front(scenario_medium, policy.ZETA_GRID[2:5], mesh=0.25)
         assert [repr(t) for _, t, _ in front] == ["0.475"] * 3
 
     def test_grid_validation(self):
         with pytest.raises(PolicyInputError, match="nonempty"):
-            pareto_front(sink_scenario(), PolicyConfig(zeta_grid=()))
+            pareto_front(sink_scenario(), ())
         with pytest.raises(PolicyError, match="ascending"):
-            pareto_front(sink_scenario(),
-                         PolicyConfig(zeta_grid=(2.0, 1.0)))
+            pareto_front(sink_scenario(), (2.0, 1.0))
         with pytest.raises(PolicyError, match="positive"):
-            pareto_front(sink_scenario(),
-                         PolicyConfig(zeta_grid=(-1.0, 1.0)))
+            pareto_front(sink_scenario(), (-1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -470,26 +472,25 @@ class TestAgainstFullSweep:
     @given(log_zeta=st.floats(-3.0, 4.0), mesh=st.floats(0.05, 0.3),
            cap=st.floats(0.05, 2.5))
     def test_sink_cases(self, log_zeta, mesh, cap):
-        s, zeta, cfg = sink_scenario(cap1=cap), 10.0 ** log_zeta, PolicyConfig(mesh=mesh)
-        assert same_as_full_sweep(solve_p4(s, zeta, cfg), full_sweep_p4(s, zeta, cfg))
+        s, zeta = sink_scenario(cap1=cap), 10.0 ** log_zeta
+        assert same_as_full_sweep(solve_p4(s, zeta, mesh), full_sweep_p4(s, zeta, mesh))
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), limited=st.booleans(),
            log_zeta=st.floats(-3.0, 4.0), mesh=st.floats(0.05, 0.3))
     def test_line_cases(self, seed, limited, log_zeta, mesh):
         s, _ = single_shed_scenario(np.random.default_rng(seed), limited)
-        zeta, cfg = 10.0 ** log_zeta, PolicyConfig(mesh=mesh)
-        assert same_as_full_sweep(solve_p4(s, zeta, cfg), full_sweep_p4(s, zeta, cfg))
+        zeta = 10.0 ** log_zeta
+        assert same_as_full_sweep(solve_p4(s, zeta, mesh), full_sweep_p4(s, zeta, mesh))
 
     # the zeta grids of the benchmark's pareto-sweep workload
     @pytest.mark.parametrize("grid", [(0.05683, 0.5085), (0.04189, 0.466)],
                              ids=["grid0", "grid1"])
     def test_medium_pareto_grids(self, scenario_medium, medium_oracle_cache, grid):
-        cfg = PolicyConfig(mesh=0.05)
         cache = {}
         for zeta in grid:
-            res = solve_p4(scenario_medium, zeta, cfg, cost_cache=cache, threads=2)
-            full = full_sweep_p4(scenario_medium, zeta, cfg, cache=medium_oracle_cache)
+            res = solve_p4(scenario_medium, zeta, 0.05, cost_cache=cache, threads=2)
+            full = full_sweep_p4(scenario_medium, zeta, 0.05, cache=medium_oracle_cache)
             assert same_as_full_sweep(res, full), zeta
         # the full sweep solves 39 floors; baseline plus ten solves here
         assert len(cache) <= 12
@@ -509,7 +510,7 @@ class TestAgainstFullSweep:
             return evaluate(scenario, tau, zeta)
 
         monkeypatch.setattr(policy, "evaluate_f_tau", failing)
-        res = solve_p4(sink_scenario(cap1=0.8), 1e9, PolicyConfig(mesh=0.1))
+        res = solve_p4(sink_scenario(cap1=0.8), 1e9, mesh=0.1)
         assert calls[0] == 0.6
         above = {t for t in calls if t > 0.6}
         if status == "infeasible":
@@ -533,7 +534,7 @@ class TestAgainstFullSweep:
             return evaluate(scenario, tau, zeta)
 
         monkeypatch.setattr(policy, "evaluate_f_tau", failing)
-        res = solve_p4(sink_scenario(cap1=0.8), 1e9, PolicyConfig(mesh=0.1))
+        res = solve_p4(sink_scenario(cap1=0.8), 1e9, mesh=0.1)
         assert calls[:2] == [0.6, 0.3]
         assert [t for t in calls if t > 0.6] == []
         assert 0.0 < res.tau_star < 0.6 and res.tau_star != 0.3
@@ -543,8 +544,8 @@ class TestAgainstFullSweep:
         # floor above 0 is pruned, and the tie goes to the smallest floor
         calls = []
         monkeypatch.setattr(policy, "evaluate_f_tau", lambda *a: calls.append(a))
-        res = solve_p4(sink_scenario(), 1e-310, PolicyConfig(mesh=0.1))
+        res = solve_p4(sink_scenario(), 1e-310, mesh=0.1)
         assert res.tau_star == 0.0 and res.f_star == -math.inf
         assert calls == []
-        full = full_sweep_p4(sink_scenario(), 1e-310, PolicyConfig(mesh=0.1))
+        full = full_sweep_p4(sink_scenario(), 1e-310, mesh=0.1)
         assert full.tau_star == 0.0
