@@ -425,7 +425,9 @@ def _per_bus(spec, network, name, steps=None, default=0.0):
         try:
             bid = int(key)
         except ValueError:
-            raise ScenarioError(f"{name}: invalid bus id {key!r}") from None
+            bid = None
+        if bid is None or str(bid) != key:  # "01" or "1_0" would alias a bus
+            raise ScenarioError(f"{name}: invalid bus id {key!r}")
         if bid not in idx:
             raise ScenarioError(f"{name}: unknown bus {bid}")
         where = f"{name}: bus {bid}"
@@ -470,8 +472,15 @@ def load_scenario(path, warn=None):
     warn, if given, is called as in parse_matpower_case on each case-file
     field outside the supported subset.
     """
+    def unique_keys(pairs):  # json keeps the last of a repeated key
+        counts = Counter(k for k, _ in pairs)
+        for key, n in counts.items():
+            if n > 1:
+                raise ScenarioError(f"{path}: key {key!r} given twice in one object")
+        return dict(pairs)
+
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, object_pairs_hook=unique_keys)
     files = scenario_files(path, cfg)
     missing = [k for k in ("case_file", "profiles_file", "partition") if k not in cfg]
     if missing:

@@ -20,7 +20,6 @@ from bisect import bisect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,21 +148,14 @@ def _normalize(cost, cost0):
     return cost / cost0 if cost0 > 0 else (1.0 if cost <= 0 else INF)
 
 
-class _Floor(NamedTuple):
-    """One floor of the P4 cost cache."""
-    report: object   # OperationReport when the solve is optimal, else None
-    lower: float     # certified bound on cost at this floor and above: +inf
-                     # if infeasible, -inf after max_iter (which proves nothing)
-
-
-def _floor(report, status):
-    """The cache entry of evaluate_f_tau's report and status; its value
-    depends on zeta, so the cache keeps none."""
+def _lower(report):
+    """A certified bound on cost at a cached floor and above: +inf where no
+    dispatch exists (report None).  The primal objective overshoots the
+    optimum by at most the duality gap; TOL * (1 + |cost|) covers the
+    residuals the gap does not see."""
     if report is None:
-        return _Floor(None, INF if status == "infeasible" else -INF)
-    # the primal objective overshoots the optimum by at most the duality
-    # gap; TOL * (1 + |cost|) covers the residuals the gap does not see
-    return _Floor(report, report.cost - report.gap - TOL * (1.0 + abs(report.cost)))
+        return INF
+    return report.cost - report.gap - TOL * (1.0 + abs(report.cost))
 
 
 def _grid(lo, hi, step):
@@ -187,7 +179,8 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
     nested in tau, so cost(tau) is nondecreasing, with cost = +inf where
     no dispatch exists.  A solved floor a thus bounds every tau >= a by
     cost(tau) >= lower_a: cost(a) minus the solve's duality gap and a
-    residual slack, +inf if a is infeasible, -inf after max_iter.  So
+    residual slack, or +inf if a is infeasible; a floor solve that ends
+    neither way raises PolicyError (evaluate_f_tau).  So
     f(tau) <= bound(tau) = tau - max(lower_a for a <= tau)/zeta, and a
     point whose bound is below the sweep's incumbent, strictly, or is
     -inf, is pruned.  Each round splits the surviving points into runs
@@ -198,7 +191,7 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
     tau_star is the floor rounded to 12 digits, the cache key, so that a
     floor reads the same from either sweep.  The trace lists the swept
     floors that were solved.  The cost solves do not depend on zeta, so an
-    external cost_cache ({round(tau, 12): _Floor(report, lower)}) may be
+    external cost_cache ({round(tau, 12): OperationReport | None}) may be
     shared across calls.  Its floor 0.0 is the baseline, the
     normalization anchor; this call solves it if the cache lacks it, so
     the mesh's first point is always solved and the sweep always returns
@@ -213,16 +206,16 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
         raise PolicyInputError(f"threads must be at least 1, got {threads!r}")
     cache = cost_cache if cost_cache is not None else {}
     if 0.0 not in cache:
-        cache[0.0] = _floor(baseline(scenario), "optimal")
+        cache[0.0] = baseline(scenario)
     top = _top_floor(scenario)  # after the baseline, which validates the scenario
     visited = set()  # the rounded taus this call sweeps
 
     def value(tau):  # -inf unless tau is solved with a report
-        rep = cache[tau].report if tau in cache else None
+        rep = cache.get(tau)
         return -INF if rep is None else tau - rep.cost / zeta
 
     def bound(tau):  # floor 0 is in the cache, so the max has a term
-        return tau - max(f.lower for k, f in cache.items() if k <= tau) / zeta
+        return tau - max(_lower(r) for k, r in cache.items() if k <= tau) / zeta
 
     def sweep(points, floor_val=-INF):
         keys = [round(float(t), 12) for t in points]
@@ -237,8 +230,7 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
             solved = sorted(cache)
             runs = [list(run) for _, run in groupby(todo, lambda t: bisect(solved, t))]
             batch = [run[len(run) // 2] for run in runs]
-            cache.update(zip(batch, pool.map(
-                lambda t: _floor(*evaluate_f_tau(scenario, t, zeta)[1:]), batch)))
+            cache.update(zip(batch, pool.map(lambda t: evaluate_f_tau(scenario, t), batch)))
         vals = [value(k) for k in keys]
         i = vals.index(max(vals))  # the first maximum: ties go to the smaller tau
         return points[i], vals[i]
@@ -252,11 +244,11 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
         incumbent, best_val = cand, cand_val
 
     tau_star = round(float(incumbent), 12)  # the cache key: one floor prints one way
-    report = cache[tau_star].report
-    trace = [(t, value(t), INF if cache[t].report is None else cache[t].report.cost)
+    report = cache[tau_star]
+    trace = [(t, value(t), INF if cache[t] is None else cache[t].cost)
              for t in sorted(visited) if t in cache]
     return PolicyResult(tau_star=tau_star,
-                        cost_normalized=_normalize(report.cost, cache[0.0].report.cost),
+                        cost_normalized=_normalize(report.cost, cache[0.0].cost),
                         report=report, trace=trace, f_star=float(best_val))
 
 

@@ -319,17 +319,11 @@ def extract_report(scenario, layout, sol):
                            branch_peak_util=util, cost=sol.objective, gap=sol.gap)
 
 
-def evaluate_f_tau(scenario, tau, zeta):
-    """Parametric sweep objective: tau minus scaled optimal capacity cost.
-
-    Returns (value, report, status), status being solve_qp's; value is
-    -inf and report None unless the solve is optimal.
-    """
-    if not 0 < zeta < INF:  # chained, so NaN fails too
-        raise BuildError("zeta must be positive and finite")
+def evaluate_f_tau(scenario, tau):
+    """The optimal P1 report at uniform floor tau, or None where no dispatch
+    meets it; extract_report's PolicyError (exit 4) propagates."""
     prog, lay = build_p1(scenario, float(tau))
-    sol = solve_qp(prog)
-    if sol.status != "optimal":
-        return -INF, None, sol.status
-    report = extract_report(scenario, lay, sol)
-    return float(tau) - sol.objective / zeta, report, sol.status
+    try:
+        return extract_report(scenario, lay, solve_qp(prog))
+    except InfeasibleError:
+        return None

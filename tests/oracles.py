@@ -178,7 +178,7 @@ def full_sweep_p4(scenario, zeta, mesh, cache=None):
             key = round(float(tau), 12)
             seen.add(key)
             if key not in cache:
-                cache[key] = evaluate_f_tau(scenario, key, zeta)[1]
+                cache[key] = evaluate_f_tau(scenario, key)
             rep = cache[key]
             val = -np.inf if rep is None else key - rep.cost / zeta
             if best_tau is None or val > best_val:

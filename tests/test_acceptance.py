@@ -264,7 +264,7 @@ def test_criterion_9_scale(capsys, scenario_medium):
     times = []
     for tau in np.linspace(0.0, 1.0, 101):
         t0 = time.monotonic()
-        evaluate_f_tau(scenario_medium, float(tau), 1.0)
+        evaluate_f_tau(scenario_medium, float(tau))
         times.append(time.monotonic() - t0)
     total = sum(times)
     _verdict(capsys, 9,

@@ -208,10 +208,15 @@ class TestExitCodes:
         ("flex_only_at_load_buses", "no", "flex_only_at_load_buses"),
         ("flex_only_at_load_buses", 1, "flex_only_at_load_buses"),
         ("flex_only_at_load_buses", None, "flex_only_at_load_buses"),
+        ("cap_minus", {"x": 1.0}, "cap_minus: invalid bus id 'x'"),
+        # int() reads these as buses 1 and 10: only canonical ids name a bus
+        ("cap_plus", {"1": 0.3, "01": 0.0}, "cap_plus: invalid bus id '01'"),
+        ("alpha", {"1_0": 99.0}, "alpha: invalid bus id '1_0'"),
     ], ids=["null-budget", "list-budget", "short-per-step-budget", "list-weight",
             "null-limits",
             "null-shed-bus", "null-step-hours", "numeric-case-file",
-            "string-flex-flag", "int-flex-flag", "null-flex-flag"])
+            "string-flex-flag", "int-flex-flag", "null-flex-flag",
+            "non-integer-bus-id", "zero-padded-bus-id", "underscored-bus-id"])
     def test_malformed_scenario(self, scenario_file, tmp_path, capsys,
                                 key, value, where):
         cfg = json.loads(open(scenario_file).read())
@@ -223,6 +228,33 @@ class TestExitCodes:
         assert f"error: {where}" in capsys.readouterr().err
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["exit_code"] == 2
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"cap_plus": {"1": 0.3', '"cap_plus": {"1": 0.3, "1": 0.0', "'1'"),
+        ('"step_hours": 1.0', '"step_hours": 1.0, "step_hours": 2.0', "'step_hours'"),
+    ], ids=["per-bus", "top-level"])
+    def test_repeated_key(self, scenario_file, tmp_path, capsys, old, new, key):
+        # json keeps the last value of a repeated key; a scenario rejects it
+        text = open(scenario_file).read()
+        assert old in text
+        with open(scenario_file, "w") as fh:
+            fh.write(text.replace(old, new))
+        assert run(["baseline", "--scenario", scenario_file], tmp_path / "o") == 2
+        assert f"key {key} given twice" in capsys.readouterr().err
+        assert strict_json(tmp_path / "o" / "manifest.json")["exit_code"] == 2
+
+    def test_scenario_not_an_object(self, scenario_file, tmp_path, capsys):
+        with open(scenario_file, "w") as fh:
+            json.dump([SCENARIO], fh)
+        assert run(["validate", "--scenario", scenario_file], tmp_path / "o") == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+        assert strict_json(tmp_path / "o" / "manifest.json")["exit_code"] == 2
+
+    def test_profiles_without_steps(self, scenario_file, tmp_path, capsys):
+        (tmp_path / "tiny.csv").write_text("bus,kind\n1,load\n")
+        assert run(["validate", "--scenario", scenario_file], tmp_path / "o") == 2
+        assert "time grid must have at least one step" in capsys.readouterr().err
+        assert strict_json(tmp_path / "o" / "manifest.json")["exit_code"] == 2
 
     def test_empty_shed(self, scenario_file, tmp_path, capsys):
         cfg = json.loads(open(scenario_file).read())
@@ -367,6 +399,34 @@ class TestExitCodes:
             monkeypatch.setattr(mod, "solve_qp", capped)
         assert run([args[0], "--scenario", scenario_file, *args[1:]],
                    tmp_path / "o") == 4
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["exit_code"] == 4
+
+    @pytest.mark.parametrize("args", [
+        ["design-p4", "--zeta", "1e6", "--mesh", "0.25"], ["pareto", "--mesh", "0.25"],
+    ], ids=lambda a: a[0])
+    def test_unconverged_floor(self, scenario_file, tmp_path, monkeypatch, capsys, args):
+        # floor 0.5, inside [0, 1] and solved by both sweeps, ends max_iter;
+        # the baseline and every other floor converge.  The floor solves run
+        # one at a time (--threads 1), each built just before it is solved.
+        build, solve = problems.build_p1, problems.solve_qp
+        floors = []
+
+        def recording(scenario, x_min):
+            floors.append(float(x_min))
+            return build(scenario, x_min)
+
+        def capped(prog):
+            sol = solve(prog)
+            if floors[-1] == 0.5:
+                sol.status = "max_iter"
+            return sol
+
+        monkeypatch.setattr(problems, "build_p1", recording)
+        monkeypatch.setattr(problems, "solve_qp", capped)
+        assert run([args[0], "--scenario", scenario_file, *args[1:]],
+                   tmp_path / "o") == 4
+        assert 0.5 in floors and "max_iter" in capsys.readouterr().err
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["exit_code"] == 4
 

@@ -4,10 +4,12 @@ Each example applies a few single-character edits (replace, insert,
 delete) to a bundled file.  The parsers must return a value or raise
 their own located error; the CLI must exit 0 or 2 with a manifest.
 The scenario JSON is fuzzed too: one top-level key of the CLI tests'
-tiny scenario dropped or replaced by an ill-typed or out-of-range value,
-on which every command ends with one of its exit codes.
+tiny scenario, one bus's cap_plus value or its one shed dropped or
+replaced by an ill-typed or out-of-range value, on which every command
+ends with one of its exit codes.
 """
 
+import copy
 import json
 import os
 import pathlib
@@ -88,24 +90,41 @@ def test_cli_validate_on_mutated_scenario(capsys, name, data):
     assert "Traceback" not in capsys.readouterr().err
 
 
-# ill-typed, out-of-range and unknown-id values for any scenario key
+# ill-typed, out-of-range, unknown-id and non-canonical-id values
 POOL = [None, "x", -1, 0, 1e308, [], {}, True, [[]], {"1": -1}, {"1": [1, 2]},
-        {"999": 1}, [[1], [1]]]
+        {"999": 1}, [[1], [1]], {"x": 1}, {"1": 1, "01": 2}]
+
+# where a value goes: a top-level key, bus 1's cap_plus or the one shed
+PATHS = [(key,) for key in sorted(SCENARIO)] + [("cap_plus", "1"), ("partition", 0)]
+
+COMMANDS = (["validate"], ["analyze"], ["baseline"], ["design-p2"],
+            ["design-p4", "--zeta", "1", "--mesh", "0.25"], ["pareto", "--mesh", "0.25"])
 
 
-@given(key=st.sampled_from(sorted(SCENARIO)),
+def mutate(scenario, path, value):
+    """A copy of scenario with the entry at path dropped ("drop") or set to value."""
+    out = copy.deepcopy(scenario)
+    *parents, last = path
+    node = out
+    for step in parents:
+        node = node[step]
+    if value == "drop":
+        del node[last]
+    else:
+        node[last] = value
+    return out
+
+
+@given(path=st.sampled_from(PATHS),
        value=st.one_of(st.just("drop"), st.sampled_from(POOL)))
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_cli_on_mutated_scenario_json(capsys, key, value):
-    scenario = {k: v for k, v in SCENARIO.items() if k != key}
-    if value != "drop":
-        scenario[key] = value
+def test_cli_on_mutated_scenario_json(capsys, path, value):
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_scenario(pathlib.Path(tmp), scenario)
-        for cmd in ("validate", "analyze", "baseline"):
+        scenario = write_scenario(pathlib.Path(tmp), mutate(SCENARIO, path, value))
+        for cmd, *args in COMMANDS:
             out = os.path.join(tmp, cmd)
-            code = main([cmd, "--scenario", path, "--out", out])
+            code = main([cmd, "--scenario", scenario, *args, "--out", out])
             assert code in (0, 2, 3, 4)
             with open(os.path.join(out, "manifest.json")) as fh:
                 assert json.load(fh)["exit_code"] == code

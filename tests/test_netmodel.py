@@ -286,6 +286,18 @@ class TestValidation:
     def test_clean_scenario(self):
         assert validate_scenario(self.build()).ok
 
+    def test_duplicate_bus_and_missing_reference(self):
+        # networks built in code skip the case parser's id checks
+        s = self.build()
+        net = s.network
+        twice = dataclasses.replace(net, buses=net.buses[:2] + (Bus(id=2),))
+        assert "duplicate-bus" in validate_scenario(
+            dataclasses.replace(s, network=twice)).codes()
+        elsewhere = dataclasses.replace(net, reference_bus=9)
+        rep = validate_scenario(dataclasses.replace(s, network=elsewhere))
+        assert rep.codes() == ["missing-reference"]
+        assert "reference bus 9" in str(rep)
+
     def test_profile_shape(self):
         s = self.build()
         s = dataclasses.replace(s, profiles=Profiles(

@@ -159,12 +159,15 @@ class TestBisection:
     def test_config_validation(self, monkeypatch):
         # the top floor is at least 1: P2 resolves no cell finer than ulp(1.0)
         for name, value in (("epsilon", 0.0), ("epsilon", math.ulp(1.0) / 2),
-                            ("mesh", -0.1)):
+                            ("mesh", -0.1), ("zeta", 0.0), ("zeta", -1.0),
+                            ("threads", 0)):
             rejected_before_any_solve(monkeypatch, name, value, name)
 
     @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"epsilon": math.inf},
-                                    {"mesh": math.nan}, {"mesh": math.inf}],
-                             ids=["eps-nan", "eps-inf", "mesh-nan", "mesh-inf"])
+                                    {"mesh": math.nan}, {"mesh": math.inf},
+                                    {"zeta": math.nan}, {"zeta": math.inf}],
+                             ids=["eps-nan", "eps-inf", "mesh-nan", "mesh-inf",
+                                  "zeta-nan", "zeta-inf"])
     def test_non_finite_config_rejected(self, monkeypatch, kw):
         [(name, value)] = kw.items()
         rejected_before_any_solve(monkeypatch, name, value, "finite")
@@ -179,6 +182,9 @@ class TestBisection:
 SETTING_READERS = {
     "epsilon": [lambda s, v: solve_p2(s, epsilon=v)],
     "mesh": [lambda s, v: solve_p4(s, 1.0, mesh=v), lambda s, v: pareto_front(s, mesh=v)],
+    "zeta": [lambda s, v: solve_p4(s, v)],
+    "threads": [lambda s, v: solve_p4(s, 1.0, threads=v),
+                lambda s, v: pareto_front(s, threads=v)],
     "zeta_grid": [lambda s, v: pareto_front(s, zeta_grid=v)],
 }
 
@@ -423,9 +429,9 @@ class TestParetoFront:
         for threads in (1, 2):
             calls = []
 
-            def counting(scenario, tau, zeta):
+            def counting(scenario, tau):
                 calls.append(tau)
-                return evaluate(scenario, tau, zeta)
+                return evaluate(scenario, tau)
 
             monkeypatch.setattr(policy, "evaluate_f_tau", counting)
             fronts[threads] = pareto_front(s, grid, mesh=0.1, threads=threads)
@@ -498,46 +504,29 @@ class TestAgainstFullSweep:
     @pytest.mark.parametrize("status", ["max_iter", "infeasible"])
     def test_failed_floor_bounds(self, monkeypatch, status):
         # floors from 0.6 up fail; 0.6, the middle of the first run, is
-        # solved first.  Only an infeasible status proves the floors above
-        # it infeasible; a max_iter one prunes nothing.
+        # solved first.  An infeasible floor proves the floors above it
+        # infeasible; a max_iter one ends the sweep with PolicyError.
         evaluate = policy.evaluate_f_tau
         calls = []
 
-        def failing(scenario, tau, zeta):
+        def failing(scenario, tau):
             calls.append(tau)
-            if tau >= 0.6:
-                return -math.inf, None, status
-            return evaluate(scenario, tau, zeta)
+            if tau < 0.6:
+                return evaluate(scenario, tau)
+            if status == "infeasible":
+                return None
+            raise PolicyError("status max_iter")
 
         monkeypatch.setattr(policy, "evaluate_f_tau", failing)
-        res = solve_p4(sink_scenario(cap1=0.8), 1e9, mesh=0.1)
-        assert calls[0] == 0.6
-        above = {t for t in calls if t > 0.6}
-        if status == "infeasible":
-            assert above == set()
+        if status == "max_iter":
+            with pytest.raises(PolicyError, match="max_iter"):
+                solve_p4(sink_scenario(cap1=0.8), 1e9, mesh=0.1)
+            assert calls == [0.6]
         else:
-            assert above == {0.7, 0.8, 0.9, 1.0}
-        assert res.tau_star < 0.6
-
-    def test_max_iter_floor_keeps_infeasible_bound(self, monkeypatch):
-        # 0.6 is infeasible and 0.3, below it, ends max_iter: the -inf
-        # bound of 0.3 must not undo the +inf one of 0.6 above it
-        evaluate = policy.evaluate_f_tau
-        calls = []
-
-        def failing(scenario, tau, zeta):
-            calls.append(tau)
-            if tau >= 0.6:
-                return -math.inf, None, "infeasible"
-            if tau == 0.3:
-                return -math.inf, None, "max_iter"
-            return evaluate(scenario, tau, zeta)
-
-        monkeypatch.setattr(policy, "evaluate_f_tau", failing)
-        res = solve_p4(sink_scenario(cap1=0.8), 1e9, mesh=0.1)
-        assert calls[:2] == [0.6, 0.3]
-        assert [t for t in calls if t > 0.6] == []
-        assert 0.0 < res.tau_star < 0.6 and res.tau_star != 0.3
+            res = solve_p4(sink_scenario(cap1=0.8), 1e9, mesh=0.1)
+            assert calls[0] == 0.6
+            assert {t for t in calls if t > 0.6} == set()
+            assert res.tau_star < 0.6
 
     def test_overflowing_f_ties_to_floor_zero(self, monkeypatch):
         # cost/zeta overflows at every floor: f is -inf throughout, every

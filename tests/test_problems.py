@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_line_scenario
+from energyshed import problems
 from energyshed.netmodel import Branch
+from energyshed.policy import PolicyInputError, solve_p4
 from energyshed.problems import (
     BuildError,
     InfeasibleError,
@@ -216,34 +218,47 @@ class TestP2Step:
 
 class TestSweepObjective:
     def test_large_zeta_approaches_tau(self):
+        # f(0.6) = 0.6 - cost/zeta tends to 0.6: the report's cost is finite
         s = chain_scenario()
-        val, rep, status = evaluate_f_tau(s, 0.6, 1e12)
-        assert rep is not None and status == "optimal"
-        assert val == pytest.approx(0.6, abs=1e-9)
+        rep = evaluate_f_tau(s, 0.6)
+        assert rep.min_ratio() >= 0.6 - 1e-6
+        assert 0.6 - rep.cost / 1e12 == pytest.approx(0.6, abs=1e-9)
 
     def test_tau_zero_is_scaled_baseline_cost(self):
         s = chain_scenario()
         prog, _ = build_p1(s, 0.0)
         cost0 = solve_qp(prog).objective
-        val, _, _ = evaluate_f_tau(s, 0.0, 2.0)
-        assert val == pytest.approx(-cost0 / 2.0, rel=1e-7)
+        assert evaluate_f_tau(s, 0.0).cost == pytest.approx(cost0, rel=1e-7)
 
     def test_infeasible_tau_marked(self):
         s = chain_scenario(cap_plus=[[0.1, 0.1], [0.0, 0.0], [3.0, 3.0]],
                            cap_minus=0.0)
-        val, rep, status = evaluate_f_tau(s, 50.0, 1.0)
-        assert val == -np.inf and rep is None and status == "infeasible"
+        assert evaluate_f_tau(s, 50.0) is None
+
+    def test_unconverged_tau_raises(self, monkeypatch):
+        # only an infeasible solve is a value; max_iter is a solver failure
+        solve = problems.solve_qp
+
+        def capped(prog):
+            sol = solve(prog)
+            sol.status = "max_iter"
+            return sol
+
+        monkeypatch.setattr(problems, "solve_qp", capped)
+        with pytest.raises(PolicyError, match=r"floor\(s\) \[0\.6\].*max_iter"):
+            evaluate_f_tau(chain_scenario(), 0.6)
 
     def test_zeta_must_be_positive(self):
-        with pytest.raises(BuildError, match="zeta"):
-            evaluate_f_tau(chain_scenario(), 0.5, 0.0)
+        # f(tau) = tau - cost/zeta: solve_p4 checks zeta, evaluate_f_tau never reads it
+        with pytest.raises(PolicyInputError, match="zeta"):
+            solve_p4(chain_scenario(), 0.0)
 
     @pytest.mark.parametrize("zeta", [np.nan, np.inf, 0.0, -1.0],
                              ids=["nan", "inf", "zero", "negative"])
     def test_zeta_must_be_positive_and_finite(self, zeta):
-        # the rule of solve_p4: a NaN zeta fails the chained comparison
-        with pytest.raises(BuildError, match="positive and finite"):
-            evaluate_f_tau(chain_scenario(), 0.5, zeta)
+        # a NaN zeta fails the chained comparison
+        with pytest.raises(PolicyInputError, match="positive and finite"):
+            solve_p4(chain_scenario(), zeta)
 
 
 class TestOrderingProperties:
