@@ -546,10 +546,13 @@ def validate_scenario(scenario):
     idx = net.bus_index()
 
     ids = net.bus_ids()
-    if len(set(ids)) != len(ids):
-        rep.add("duplicate-bus", "bus ids not unique")
+    for bid, count in sorted(Counter(ids).items()):
+        if count > 1:
+            rep.add("duplicate-bus", f"bus id {bid} listed {count} times",
+                    location=f"bus {bid}")
     if net.reference_bus not in idx:
-        rep.add("missing-reference", f"reference bus {net.reference_bus} not in network")
+        rep.add("missing-reference", f"reference bus {net.reference_bus} not in network",
+                location="reference bus")
     if net.n_bus and not induced_subgraph_connected(net, ids):
         rep.add("disconnected-network", "network graph is not connected")
     for br in net.branches:
@@ -642,7 +645,8 @@ def validate_scenario(scenario):
     uncovered = load_buses - seen
     if uncovered:
         rep.add("uncovered-load-bus",
-                f"load buses {sorted(uncovered)} not assigned to any shed")
+                f"load buses {sorted(uncovered)} not assigned to any shed",
+                location="partition")
     return rep
 
 

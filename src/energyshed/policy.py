@@ -6,11 +6,12 @@ denominator D_k >= L_k > 0.  It is solved to global optimality by the
 iteration of Dinkelbach (1967) in the form of Crouzeix, Ferland & Schaible
 (1985): one always-feasible LP of P1's size per step, converging
 superlinearly.  The cost-aware design trades the floor against capacity
-cost and is solved over a mesh of floors; as the cost is nondecreasing in
-the floor, each solved floor bounds the ones above it, and most mesh
-points are pruned without a solve.  Both designs search the floors of
-[0, top], the top derived from the scenario (_top_floor); floor 0 is the
-baseline, met whenever the network constraints are.
+cost and is solved over a mesh of floors; each solved floor bounds the
+cost of the ones above it by a line whose slope its ratio rows' duals
+certify, and most mesh points are pruned without a solve.  Both designs
+search the floors of [0, top], the top derived from the scenario
+(_top_floor); floor 0 is the baseline, met whenever the network
+constraints are.
 """
 
 from __future__ import annotations
@@ -148,14 +149,21 @@ def _normalize(cost, cost0):
     return cost / cost0 if cost0 > 0 else (1.0 if cost <= 0 else INF)
 
 
-def _lower(report):
-    """A certified bound on cost at a cached floor and above: +inf where no
-    dispatch exists (report None).  The primal objective overshoots the
-    optimum by at most the duality gap; TOL * (1 + |cost|) covers the
-    residuals the gap does not see."""
+def _lower(report, dt):
+    """A certified bound on cost at dt >= 0 above a cached floor a: +inf
+    where no dispatch exists at a (report None), else the line
+    lower_a + dt * slope_a.  lower_a is cost(a) less the duality gap, by
+    which the primal objective overshoots the optimum, and less
+    TOL * (1 + |cost|), which covers the residuals the gap does not see.
+
+    slope_a = sum_k lambda_k * L_k, lambda being the duals of the ratio
+    rows tau * D_k(x) - N_k(x) <= 0 at floor a.  Relaxing those rows with
+    lambda bounds cost(tau) from below by weak duality (Geoffrion 1971),
+    and as every D_k(x) >= L_k, the relaxation at tau exceeds the one at a
+    by at least (tau - a) * slope_a."""
     if report is None:
         return INF
-    return report.cost - report.gap - TOL * (1.0 + abs(report.cost))
+    return report.cost - report.gap - TOL * (1.0 + abs(report.cost)) + dt * report.slope
 
 
 def _grid(lo, hi, step):
@@ -177,13 +185,15 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
 
     Since every shed denominator D_k >= L_k > 0, the feasible sets are
     nested in tau, so cost(tau) is nondecreasing, with cost = +inf where
-    no dispatch exists.  A solved floor a thus bounds every tau >= a by
-    cost(tau) >= lower_a: cost(a) minus the solve's duality gap and a
-    residual slack, or +inf if a is infeasible; a floor solve that ends
-    neither way raises PolicyError (evaluate_f_tau).  So
-    f(tau) <= bound(tau) = tau - max(lower_a for a <= tau)/zeta, and a
-    point whose bound is below the sweep's incumbent, strictly, or is
-    -inf, is pruned.  Each round splits the surviving points into runs
+    no dispatch exists.  A solved floor a bounds every tau >= a by the
+    line cost(tau) >= _lower(report_a, tau - a) = lower_a + (tau - a) *
+    slope_a: lower_a is cost(a) minus the solve's duality gap and a
+    residual slack, slope_a >= 0 comes from the duals of a's ratio rows,
+    and the line is +inf if a is infeasible; a floor solve that ends
+    neither way raises PolicyError (evaluate_f_tau).  So f(tau) <=
+    bound(tau) = tau - max(_lower(report_a, tau - a) for a <= tau)/zeta,
+    and a point whose bound is below the sweep's incumbent, strictly, or
+    is -inf, is pruned.  Each round splits the surviving points into runs
     between solved floors and solves the middle point of every run as one
     batch on a pool of threads >= 1 workers (the batches do not depend on
     threads).
@@ -215,7 +225,7 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
         return -INF if rep is None else tau - rep.cost / zeta
 
     def bound(tau):  # floor 0 is in the cache, so the max has a term
-        return tau - max(_lower(r) for k, r in cache.items() if k <= tau) / zeta
+        return tau - max(_lower(r, tau - a) for a, r in cache.items() if a <= tau) / zeta
 
     def sweep(points, floor_val=-INF):
         keys = [round(float(t), 12) for t in points]

@@ -262,6 +262,10 @@ class OperationReport:
     branch_peak_util: list     # (from, to, peak |flow| / limit)
     cost: float
     gap: float                 # the solve's duality gap; in no output file
+    # sum_k lambda_k * L_k, lambda_k the dual of shed k's ratio row and L_k
+    # its total load: the slope of the line that bounds the cost at higher
+    # uniform floors (policy._lower); in no output file
+    slope: float
 
     def min_ratio(self):
         return min(self.shed_ratios.values())
@@ -314,9 +318,12 @@ def extract_report(scenario, layout, sol):
         u = 0.0 if math.isinf(br.flow_limit) else peak / br.flow_limit
         util.append((br.from_bus, br.to_bus, u))
 
+    # the ratio rows are the last k rows of G (build_p1 adds them last)
+    loads = np.array([load[rows].sum() for rows in shed_rows(scenario)])
     return OperationReport(shed_ratios=shed_ratios, bus_ratios=bus_ratios,
                            cap_plus=cap_plus, cap_minus=cap_minus,
-                           branch_peak_util=util, cost=sol.objective, gap=sol.gap)
+                           branch_peak_util=util, cost=sol.objective, gap=sol.gap,
+                           slope=float(sol.duals_ineq[-len(loads):] @ loads))
 
 
 def evaluate_f_tau(scenario, tau):

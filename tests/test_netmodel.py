@@ -291,11 +291,15 @@ class TestValidation:
         s = self.build()
         net = s.network
         twice = dataclasses.replace(net, buses=net.buses[:2] + (Bus(id=2),))
-        assert "duplicate-bus" in validate_scenario(
-            dataclasses.replace(s, network=twice)).codes()
+        rep = validate_scenario(dataclasses.replace(s, network=twice))
+        assert [(v.code, v.location) for v in rep.violations
+                if v.code in ("duplicate-bus", "uncovered-load-bus")] == [
+            ("duplicate-bus", "bus 2"), ("uncovered-load-bus", "partition")]
+        assert "bus id 2 listed 2 times" in str(rep)
         elsewhere = dataclasses.replace(net, reference_bus=9)
         rep = validate_scenario(dataclasses.replace(s, network=elsewhere))
-        assert rep.codes() == ["missing-reference"]
+        assert [(v.code, v.location) for v in rep.violations] == [
+            ("missing-reference", "reference bus")]
         assert "reference bus 9" in str(rep)
 
     def test_profile_shape(self):

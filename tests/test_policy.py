@@ -441,6 +441,20 @@ class TestParetoFront:
         assert fronts[1] == fronts[2]
         assert solved[1] == solved[2]
 
+    def test_medium_grid_solve_count(self, scenario_medium, monkeypatch):
+        # the first zeta grid of the benchmark's pareto-sweep workload: the
+        # line bounds leave 7 floor solves; a constant bound per floor needs 10
+        evaluate = policy.evaluate_f_tau
+        calls = []
+
+        def counting(scenario, tau):
+            calls.append(tau)
+            return evaluate(scenario, tau)
+
+        monkeypatch.setattr(policy, "evaluate_f_tau", counting)
+        pareto_front(scenario_medium, [0.05683, 0.5085], 0.05)
+        assert len(calls) == len(set(calls)) == 7
+
     def test_tau_star_prints_one_way(self, scenario_medium):
         # at mesh 0.25, medium's tau* 0.475 comes from refinement sweeps
         # around different incumbents: 0 + 19 * 0.025 and 0.25 + 9 * 0.025
@@ -455,6 +469,37 @@ class TestParetoFront:
             pareto_front(sink_scenario(), (2.0, 1.0))
         with pytest.raises(PolicyError, match="positive"):
             pareto_front(sink_scenario(), (-1.0, 1.0))
+
+
+class TestSlopeBound:
+    """The line bound cost(tau) >= lower_a + (tau - a) * slope_a against
+    solved floors: policy._lower never exceeds a cost it bounds."""
+
+    @pytest.mark.parametrize("cut", [None, (7, 0.15)], ids=["medium", "shed7-x0.15"])
+    def test_never_above_solved_cost(self, scenario_medium, cut):
+        # shed7-x0.15 is infeasible above 0.5, so both kinds of floor occur
+        s = scenario_medium if cut is None else with_cap_cut(scenario_medium, *cut)
+        reports = {a: policy.evaluate_f_tau(s, a) for a in np.linspace(0.0, 1.0, 11)}
+        solved = {a: r for a, r in reports.items() if r is not None}
+        assert len(solved) >= 6
+        for a, rep in reports.items():
+            if rep is None:  # the +inf line: no floor above a is met either
+                assert policy._lower(None, 1.0 - a) == math.inf
+                assert all(reports[tau] is None for tau in reports if tau > a), a
+                continue
+            assert rep.slope >= 0, a
+            for tau, above in solved.items():
+                if tau > a:
+                    assert above.cost >= policy._lower(rep, tau - a), (a, tau)
+
+    def test_slope_below_forward_difference(self, scenario_medium):
+        # medium's cost rises at 0.6: the slope there is certified by the
+        # cost one step h above, up to the solve's gap and residual slack
+        a, h = 0.6, 1e-3
+        rep, above = (policy.evaluate_f_tau(scenario_medium, t) for t in (a, a + h))
+        assert rep.slope > 1.0
+        slack = (rep.gap + qpcore.TOL * (1.0 + abs(rep.cost))) / h
+        assert (above.cost - rep.cost) / h >= rep.slope - slack
 
 
 @pytest.fixture(scope="module")
@@ -527,6 +572,14 @@ class TestAgainstFullSweep:
             assert calls[0] == 0.6
             assert {t for t in calls if t > 0.6} == set()
             assert res.tau_star < 0.6
+
+    def test_medium_solve_count(self, scenario_medium):
+        # the line bounds leave 8 of medium's 21 mesh points plus the
+        # refinement to solve; a constant bound per floor needs 21.  0.54
+        # is the full sweep's answer
+        res = solve_p4(scenario_medium, 10.0, 0.05)
+        assert res.tau_star == 0.54
+        assert res.probes == 8
 
     def test_overflowing_f_ties_to_floor_zero(self, monkeypatch):
         # cost/zeta overflows at every floor: f is -inf throughout, every
