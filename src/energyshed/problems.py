@@ -300,23 +300,18 @@ def extract_report(scenario, layout, sol):
             raise PolicyError(f"shed {k} ratio {ratio} violates floor {tau}")
         shed_ratios[k] = ratio
 
-    bus_ratios = {}
-    cap_plus = {}
-    cap_minus = {}
-    for i, bus in enumerate(net.buses):
-        den = float(load[i].sum() + dec["sm"][i].sum())
-        if den > 0:
-            bus_ratios[bus.id] = float(gen[i].sum() + dec["sp"][i].sum()) / den
-        # capacities recomputed from the dispatch rather than trusting the
-        # epigraph variables (which are slack when the weight is zero)
-        cap_plus[bus.id] = float(dec["sp"][i].max(initial=0.0))
-        cap_minus[bus.id] = float(dec["sm"][i].max(initial=0.0))
-
-    util = []
-    for e, br in enumerate(net.branches):
-        peak = float(np.abs(dec["flow"][e]).max())
-        u = 0.0 if math.isinf(br.flow_limit) else peak / br.flow_limit
-        util.append((br.from_bus, br.to_bus, u))
+    ids = net.bus_ids()
+    gen_in = (gen.sum(axis=1) + dec["sp"].sum(axis=1)).tolist()
+    load_in = (load.sum(axis=1) + dec["sm"].sum(axis=1)).tolist()
+    bus_ratios = {b: g / d for b, g, d in zip(ids, gen_in, load_in) if d > 0}
+    # capacities recomputed from the dispatch rather than trusting the
+    # epigraph variables (which are slack when the weight is zero)
+    cap_plus = dict(zip(ids, dec["sp"].max(axis=1, initial=0.0).tolist()))
+    cap_minus = dict(zip(ids, dec["sm"].max(axis=1, initial=0.0).tolist()))
+    # an unlimited branch's limit is inf, so its utilization is 0.0
+    peaks = np.abs(dec["flow"]).max(axis=1).tolist()
+    util = [(br.from_bus, br.to_bus, peak / br.flow_limit)
+            for br, peak in zip(net.branches, peaks)]
 
     # the ratio rows are the last k rows of G (build_p1 adds them last)
     loads = np.array([load[rows].sum() for rows in shed_rows(scenario)])

@@ -150,12 +150,12 @@ def _ipm(p):
     The KKT matrix therefore has dimension n + m_eq + m_ineq, its pattern is
     assembled once, and each iteration rewrites only its diagonal.  The
     first factorization computes SuperLU's MMD column ordering; K is then
-    permuted symmetrically by it, once, and every later iteration factors
-    it with NATURAL ordering and solves in permuted coordinates.  The
-    factor lives in one local, dropped before the next splu call, so at
-    most one factor is alive at a time.  A program with no inequality rows
-    and no finite bounds takes the same path: mu is then zero and each step
-    is a damped Newton step.
+    permuted symmetrically by it once, by scipy's indexing K[order][:, order],
+    and every later iteration factors it with NATURAL ordering and solves in
+    permuted coordinates.  The factor lives in one local, dropped before the
+    next splu call, so at most one factor is alive at a time.  A program
+    with no inequality rows and no finite bounds takes the same path: mu is
+    then zero and each step is a damped Newton step.
     """
     n, mg, me = p.n, p.m_ineq, p.m_eq
     hi_idx = np.flatnonzero(np.isfinite(p.hi))
@@ -253,8 +253,12 @@ def _ipm(p):
         diag[n:n + mg] = -s[:mg] / z[:mg] - _REG
         if it == 2:
             # the pattern is fixed, so every later factor reuses the first
-            # one's column ordering: permute K symmetrically by it, once
-            K, diag_pos, order = _permuted(K, lu.perm_c)
+            # one's column ordering: permute K symmetrically by it, once,
+            # and sort its indices, since _diag_pos needs canonical CSC
+            order = np.argsort(lu.perm_c)
+            K = K[order][:, order]
+            K.sort_indices()
+            diag_pos = _diag_pos(K)
         K.data[diag_pos] = diag[order]
         lu = None  # the only reference: free the previous factor first
         try:
@@ -311,22 +315,6 @@ def _diag_pos(K):
     """Positions of a canonical CSC matrix's diagonal entries in K.data."""
     return np.flatnonzero(K.indices == np.repeat(np.arange(K.shape[0]),
                                                  np.diff(K.indptr)))
-
-
-def _permuted(K, perm_c):
-    """(K[order][:, order], its _diag_pos, order) for order = argsort(perm_c).
-
-    Built from K's index arrays: entry (i, j) moves to (perm_c[i], perm_c[j]),
-    and the result is canonical CSC like K.
-    """
-    order = np.argsort(perm_c)
-    rows = perm_c[K.indices]
-    cols = np.repeat(perm_c, np.diff(K.indptr))
-    o = np.lexsort((rows, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.diff(K.indptr)[order])])
-    P = sp.csc_matrix((K.data[o], rows[o], indptr.astype(K.indptr.dtype)),
-                      shape=K.shape)
-    return P, _diag_pos(P), order
 
 
 def _max_step(v, dv):

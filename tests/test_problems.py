@@ -122,6 +122,41 @@ class TestSolutionPhysics:
         peak = max(u for _, _, u in rep.branch_peak_util)
         assert peak <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"flow_limit": 0.4, "cap_plus": [[4.0, 4.0], [0.0, 0.0], [2.0, 2.0]]},
+        {"flow_limit": 0.8, "cap_plus": [[0.0, 0.0], [0.0, 0.0], [4.0, 4.0]]},
+    ], ids=["unlimited", "limit-binds", "flows-reversed"])
+    def test_report_per_bus_and_per_branch(self, kw):
+        # every per-bus and per-branch field, recomputed bus by bus and
+        # branch by branch from the decoded solution; bus 2 carries no load,
+        # and with flexibility only at bus 3 both flows are negative
+        s = chain_scenario(**kw)
+        lay, sol = self.solve(s, 0.5)
+        rep = extract_report(s, lay, sol)
+        dec = lay.decode(sol.x)
+        gen, load = s.profiles.gen, s.profiles.load
+        ratios = {}
+        for i, b in enumerate(s.network.bus_ids()):
+            den = sum(load[i].tolist()) + sum(dec["sm"][i].tolist())
+            if den > 0:
+                ratios[b] = (sum(gen[i].tolist()) + sum(dec["sp"][i].tolist())) / den
+            assert rep.cap_plus[b] == max([0.0] + dec["sp"][i].tolist())
+            assert rep.cap_minus[b] == max([0.0] + dec["sm"][i].tolist())
+        assert 2 not in rep.bus_ratios
+        assert rep.bus_ratios == ratios
+        assert list(rep.cap_plus) == list(rep.cap_minus) == [1, 2, 3]
+        assert len(rep.branch_peak_util) == len(s.network.branches)
+        for e, (br, (f, t, u)) in enumerate(zip(s.network.branches, rep.branch_peak_util)):
+            assert (f, t) == (br.from_bus, br.to_bus)
+            peak = max(abs(v) for v in dec["flow"][e].tolist())
+            assert u == (0.0 if br.flow_limit == np.inf else peak / br.flow_limit)
+        utils = [u for _, _, u in rep.branch_peak_util]
+        if kw.get("flow_limit") == 0.4:
+            assert max(utils) == pytest.approx(1.0, abs=1e-3)
+        if kw.get("flow_limit") == 0.8:
+            assert (dec["flow"] < 0).all() and min(utils) > 0.5
+
     def test_report_requires_optimal(self):
         s = chain_scenario(cap_plus=0.0, cap_minus=0.0)
         prog, lay = build_p1(s, 0.0)

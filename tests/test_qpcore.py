@@ -294,9 +294,11 @@ class TestNumericalContracts:
                                               floor):
         # each solve computes one MMD ordering, from its first factor, and
         # factors every later (pre-permuted) KKT matrix with NATURAL; a
-        # factor is freed before the next one is computed.  Fill is compared
-        # by SuperLU's stored L+U count: scipy's lu.L leaves out entries
-        # that cancel to exactly 0, so L.nnz dips on some factors either way.
+        # factor is freed before the next one is computed.  Every K is
+        # canonical: _diag_pos indexes K.data by position, and splu would
+        # sort unsorted indices in place.  Fill is compared by SuperLU's
+        # stored L+U count: scipy's lu.L leaves out entries that cancel to
+        # exactly 0, so L.nnz dips on some factors either way.
         solves = []  # per _ipm call: (permc_spec, lu.nnz) per factor
         alive = []   # per factor: whether it is still referenced
         splu, ipm = spla.splu, qpcore._ipm
@@ -310,6 +312,7 @@ class TestNumericalContracts:
 
         def recording_splu(K, permc_spec, **kwargs):
             assert not any(alive), "splu called with an earlier factor alive"
+            assert K.has_canonical_format, f"{permc_spec} factor of a non-canonical K"
             lu = splu(K, permc_spec=permc_spec, **kwargs)
             solves[-1].append((permc_spec, lu.nnz))
             factor = Factor(lu)
