@@ -30,11 +30,13 @@ from .netmodel import (
     ScenarioError,
     as_number,
     load_scenario,
+    read_json,
     scenario_files,
     shed_rows,
     validate_scenario,
 )
-from .policy import EPSILON, MESH, ZETA_GRID, baseline, pareto_front, solve_p2, solve_p4
+from .policy import (EPSILON, MAX_GRID_POINTS, MESH, ZETA_GRID, baseline, pareto_front,
+                     solve_p2, solve_p4)
 from .problems import BuildError, InfeasibleError, PolicyError, build_p1, extract_report
 from .qpcore import solve_qp
 
@@ -244,6 +246,9 @@ def _cmd_analyze(run):
                     ("--max-budget", run.args.max_budget)):
         if not 0 < v < math.inf:
             raise AnalysisError(f"{flag} must be positive and finite, got {v!r}")
+    if run.args.max_budget / run.args.budget_step >= MAX_GRID_POINTS:
+        raise AnalysisError(f"--budget-step {run.args.budget_step!r} puts more than "
+                            f"{MAX_GRID_POINTS} budgets on [0, --max-budget]")
     scenario = _load_checked(run)
     hours = scenario.time_grid.step_hours
     base = scenario.network.base_mva
@@ -276,8 +281,7 @@ def _cmd_analyze(run):
 def _x_min_value(arg):
     """--x-min as read: a JSON file's contents if the path exists, else a float."""
     if os.path.exists(arg):
-        with open(arg) as fh:
-            return json.load(fh)
+        return read_json(arg)
     try:
         return float(arg)
     except ValueError:
@@ -324,7 +328,7 @@ def _cmd_design_p2(run):
 
 def _cmd_design_p4(run):
     scenario = _load_checked(run)
-    res = solve_p4(scenario, run.args.zeta, run.args.mesh, threads=run.args.threads)
+    res = solve_p4(scenario, run.args.zeta, run.args.mesh)
     _emit_table(run, "trace", "trace", ["tau", "f_tau", "cost"], res.trace)
     _emit_report(run, scenario, res.report, tau_star=res.tau_star, f_star=res.f_star,
                  zeta=run.args.zeta, cost_normalized=res.cost_normalized,
@@ -334,8 +338,7 @@ def _cmd_design_p4(run):
 
 def _cmd_pareto(run):
     scenario = _load_checked(run)
-    front = pareto_front(scenario, _zeta_grid(run.args.zeta_grid), run.args.mesh,
-                         threads=run.args.threads)
+    front = pareto_front(scenario, _zeta_grid(run.args.zeta_grid), run.args.mesh)
     _emit_table(run, "front", "front",
                 ["zeta", "tau_star", "cost_normalized"], front)
     return EXIT_OK
@@ -357,7 +360,7 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweeps")
+                       help="accepted and recorded, no effect: sweeps run serially")
         p.set_defaults(func=func)
         return p
 
@@ -400,7 +403,7 @@ def main(argv=None):
     run = None
     try:
         run = _Run(args)
-        if args.threads < 1:  # every command takes --threads; a sweep uses it
+        if args.threads < 1:  # every command takes --threads; none uses it
             raise ValueError(f"threads must be at least 1, got {args.threads!r}")
         code = args.func(run)
     except (OSError, ValueError) as exc:  # every input error class is a ValueError

@@ -451,6 +451,24 @@ def _partition(spec):
     return Partition(sheds=tuple((k, tuple(nodes)) for k, nodes in enumerate(spec)))
 
 
+SCENARIO_KEYS = ("case_file", "profiles_file", "partition", "step_hours", "cap_plus",
+                 "cap_minus", "export_limits", "alpha", "beta", "flex_only_at_load_buses")
+
+
+def read_json(path):
+    """The JSON document at path; a ScenarioError names a key that one
+    object repeats, where json alone would keep its last value."""
+    def unique_keys(pairs):
+        counts = Counter(k for k, _ in pairs)
+        for key, n in counts.items():
+            if n > 1:
+                raise ScenarioError(f"{path}: key {key!r} given twice in one object")
+        return dict(pairs)
+
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=unique_keys)
+
+
 def scenario_files(path, cfg):
     """{key: path} for the case and profile files that the scenario config
     cfg (parsed from path) names, resolved relative to path's directory."""
@@ -472,16 +490,12 @@ def load_scenario(path, warn=None):
     warn, if given, is called as in parse_matpower_case on each case-file
     field outside the supported subset.
     """
-    def unique_keys(pairs):  # json keeps the last of a repeated key
-        counts = Counter(k for k, _ in pairs)
-        for key, n in counts.items():
-            if n > 1:
-                raise ScenarioError(f"{path}: key {key!r} given twice in one object")
-        return dict(pairs)
-
-    with open(path) as fh:
-        cfg = json.load(fh, object_pairs_hook=unique_keys)
+    cfg = read_json(path)
     files = scenario_files(path, cfg)
+    for key in cfg:
+        if key not in SCENARIO_KEYS:
+            raise ScenarioError(f"{key}: unknown scenario key; expected one of "
+                                f"{', '.join(SCENARIO_KEYS)}")
     missing = [k for k in ("case_file", "profiles_file", "partition") if k not in cfg]
     if missing:
         raise ScenarioError(f"{path}: missing required key(s): {', '.join(missing)}")
@@ -502,6 +516,9 @@ def load_scenario(path, warn=None):
     if not isinstance(limits, dict):
         raise ScenarioError(f"export_limits: expected an object with 'upper'/'lower', "
                             f"got {limits!r}")
+    for key in limits:
+        if key not in ("upper", "lower"):
+            raise ScenarioError(f"export_limits.{key}: unknown key; expected 'upper' or 'lower'")
     has_limits = "export_limits" in cfg
     budgets = FlexBudget(
         cap_plus=_per_bus(cfg.get("cap_plus"), network, "cap_plus", steps),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -40,6 +39,7 @@ from .qpcore import FEAS_TOL, TOL, check_feasibility, solve_qp  # noqa: F401
 INF = math.inf
 EPSILON = 1e-6   # P2's resolution
 MESH = 0.01      # P4's floor step
+MAX_GRID_POINTS = 10 ** 6  # the most points a floor or budget grid may have
 ZETA_GRID = tuple(float(z) for z in np.logspace(-2, 4, 13))  # the Pareto front's weights
 
 
@@ -172,11 +172,12 @@ def _grid(lo, hi, step):
     return pts[pts <= hi + 1e-9 * step]
 
 
-def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
+def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None):
     """Maximize f(tau) = tau - cost(tau)/zeta over a mesh of floors.
 
-    zeta and the floor step mesh must be positive and finite, and threads
-    at least 1; each is checked before any solve.
+    zeta and the floor step mesh must be positive and finite; both are
+    checked before any solve.  Once the baseline fixes top, a mesh that
+    puts MAX_GRID_POINTS or more floors on [0, top] is rejected too.
 
     The answer is that of a full sweep: the best mesh point of [0, top],
     top = _top_floor(scenario) (ties to the smaller floor), then the best
@@ -194,9 +195,8 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
     bound(tau) = tau - max(_lower(report_a, tau - a) for a <= tau)/zeta,
     and a point whose bound is below the sweep's incumbent, strictly, or
     is -inf, is pruned.  Each round splits the surviving points into runs
-    between solved floors and solves the middle point of every run as one
-    batch on a pool of threads >= 1 workers (the batches do not depend on
-    threads).
+    between solved floors and solves the middle point of every run, in
+    increasing order.
 
     tau_star is the floor rounded to 12 digits, the cache key, so that a
     floor reads the same from either sweep.  The trace lists the swept
@@ -212,12 +212,13 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
         raise PolicyInputError("mesh must be positive and finite")
     if not 0 < zeta < INF:
         raise PolicyInputError("zeta must be positive and finite")
-    if threads < 1:
-        raise PolicyInputError(f"threads must be at least 1, got {threads!r}")
     cache = cost_cache if cost_cache is not None else {}
     if 0.0 not in cache:
         cache[0.0] = baseline(scenario)
     top = _top_floor(scenario)  # after the baseline, which validates the scenario
+    if top / mesh >= MAX_GRID_POINTS:
+        raise PolicyInputError(f"mesh {mesh!r} puts more than {MAX_GRID_POINTS} "
+                               f"floors on [0, {top!r}]")
     visited = set()  # the rounded taus this call sweeps
 
     def value(tau):  # -inf unless tau is solved with a report
@@ -240,16 +241,14 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
             solved = sorted(cache)
             runs = [list(run) for _, run in groupby(todo, lambda t: bisect(solved, t))]
             batch = [run[len(run) // 2] for run in runs]
-            cache.update(zip(batch, pool.map(lambda t: evaluate_f_tau(scenario, t), batch)))
+            cache.update((t, evaluate_f_tau(scenario, t)) for t in batch)
         vals = [value(k) for k in keys]
         i = vals.index(max(vals))  # the first maximum: ties go to the smaller tau
         return points[i], vals[i]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        incumbent, best_val = sweep(_grid(0.0, top, mesh))
-        cand, cand_val = sweep(_grid(max(0.0, incumbent - mesh),
-                                     min(top, incumbent + mesh), mesh / 10.0),
-                               best_val)
+    incumbent, best_val = sweep(_grid(0.0, top, mesh))
+    cand, cand_val = sweep(_grid(max(0.0, incumbent - mesh),
+                                 min(top, incumbent + mesh), mesh / 10.0), best_val)
     if cand_val > best_val:
         incumbent, best_val = cand, cand_val
 
@@ -262,7 +261,7 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None, threads=1):
                         report=report, trace=trace, f_star=float(best_val))
 
 
-def pareto_front(scenario, zeta_grid=ZETA_GRID, mesh=MESH, threads=1):
+def pareto_front(scenario, zeta_grid=ZETA_GRID, mesh=MESH):
     """(zeta, tau*, cost_normalized) for each zeta of zeta_grid, by solve_p4.
 
     The grid is checked before any solve: nonempty, ascending, each zeta
@@ -276,6 +275,6 @@ def pareto_front(scenario, zeta_grid=ZETA_GRID, mesh=MESH, threads=1):
     cache = {}
     front = []
     for zeta in grid:
-        res = solve_p4(scenario, zeta, mesh, cost_cache=cache, threads=threads)
+        res = solve_p4(scenario, zeta, mesh, cost_cache=cache)
         front.append((zeta, res.tau_star, res.cost_normalized))
     return front

@@ -303,7 +303,9 @@ def extract_report(scenario, layout, sol):
     ids = net.bus_ids()
     gen_in = (gen.sum(axis=1) + dec["sp"].sum(axis=1)).tolist()
     load_in = (load.sum(axis=1) + dec["sm"].sum(axis=1)).tolist()
-    bus_ratios = {b: g / d for b, g, d in zip(ids, gen_in, load_in) if d > 0}
+    # the load profile alone marks the load buses, as in validate_scenario
+    loaded = (load.sum(axis=1) > 0).tolist()
+    bus_ratios = {b: g / d for b, g, d, on in zip(ids, gen_in, load_in, loaded) if on}
     # capacities recomputed from the dispatch rather than trusting the
     # epigraph variables (which are slack when the weight is zero)
     cap_plus = dict(zip(ids, dec["sp"].max(axis=1, initial=0.0).tolist()))

@@ -113,6 +113,10 @@ class TestCapacityCurve:
         with pytest.raises(AnalysisError, match="nondecreasing"):
             capacity_curve(series(), [1.0, 0.5])
 
+    def test_limits_mode_needs_an_export_limit(self):
+        with pytest.raises(AnalysisError, match="limits mode requires an export limit"):
+            capacity_curve(series(), [0.0], mode="limits")
+
     def test_unknown_mode(self):
         with pytest.raises(AnalysisError, match="unknown mode"):
             capacity_curve(series(), [0.0], mode="ac")
@@ -124,6 +128,11 @@ class TestRequiredBudget:
         target = max_ratio_unconstrained(c)
         budget = required_budget(target, c.base_ratio, c.gamma)
         assert budget == pytest.approx(float(c.cap_plus.sum()))
+
+    @pytest.mark.parametrize("gamma", [0.0, -4.0])
+    def test_nonpositive_gamma_rejected(self, gamma):
+        with pytest.raises(AnalysisError, match="gamma must be positive"):
+            required_budget(0.7, 0.5, gamma)
 
     def test_target_below_base_rejected(self):
         with pytest.raises(AnalysisError, match="below"):

@@ -121,8 +121,10 @@ class TestExitCodes:
         assert run(["solve-p1", "--scenario", scenario_file,
                     "--x-min", floor], tmp_path / "o") == 2
 
-    @pytest.mark.parametrize("floor", ["[0.5]", '{"0": null}', '{"0": "0.4"}'],
-                             ids=["list", "null-value", "string-value"])
+    # json alone would keep the repeated shed's last floor
+    @pytest.mark.parametrize("floor", ["[0.5]", '{"0": null}', '{"0": "0.4"}',
+                                       '{"0": 0.1, "0": 0.9}'],
+                             ids=["list", "null-value", "string-value", "repeated-shed"])
     def test_malformed_floor_file(self, scenario_file, tmp_path, floor):
         path = tmp_path / "floors.json"
         path.write_text(floor)
@@ -212,11 +214,15 @@ class TestExitCodes:
         # int() reads these as buses 1 and 10: only canonical ids name a bus
         ("cap_plus", {"1": 0.3, "01": 0.0}, "cap_plus: invalid bus id '01'"),
         ("alpha", {"1_0": 99.0}, "alpha: invalid bus id '1_0'"),
+        # a misspelled key would otherwise leave every budget, or the limit, at its default
+        ("cap_plsu", {"1": 0.3}, "cap_plsu: unknown scenario key"),
+        ("export_limits", {"uper": {"1": 0.1}}, "export_limits.uper: unknown key"),
     ], ids=["null-budget", "list-budget", "short-per-step-budget", "list-weight",
             "null-limits",
             "null-shed-bus", "null-step-hours", "numeric-case-file",
             "string-flex-flag", "int-flex-flag", "null-flex-flag",
-            "non-integer-bus-id", "zero-padded-bus-id", "underscored-bus-id"])
+            "non-integer-bus-id", "zero-padded-bus-id", "underscored-bus-id",
+            "misspelled-key", "misspelled-limit-key"])
     def test_malformed_scenario(self, scenario_file, tmp_path, capsys,
                                 key, value, where):
         cfg = json.loads(open(scenario_file).read())
@@ -319,13 +325,18 @@ class TestExitCodes:
         ["validate", "--threads", "-1"],
         ["analyze", "--threads", "0"],
         ["design-p2", "--threads", "-3"],
+        # grids of more than a million points: found before numpy builds them
+        ["design-p4", "--zeta", "1.0", "--mesh", "1e-9"],
+        ["pareto", "--mesh", "1e-13"],
+        ["analyze", "--budget-step", "1e-14"],
     ], ids=["zeta-nan", "zeta-inf", "mesh-nan", "epsilon-inf", "epsilon-zero",
             "epsilon-below-float-spacing",
             "budget-step-zero", "budget-step-nan", "max-budget-inf",
             "max-budget-negative", "p4-threads-zero", "p4-threads-negative",
             "pareto-threads-zero", "pareto-threads-negative", "p1-threads-zero",
             "baseline-threads-zero", "validate-threads-negative",
-            "analyze-threads-zero", "p2-threads-negative"])
+            "analyze-threads-zero", "p2-threads-negative", "p4-mesh-too-fine",
+            "pareto-mesh-too-fine", "budget-step-too-fine"])
     def test_bad_numeric_flag(self, scenario_file, tmp_path, capsys, args):
         assert run(args[:1] + ["--scenario", scenario_file] + args[1:],
                    tmp_path / "o") == 2
@@ -408,7 +419,7 @@ class TestExitCodes:
     def test_unconverged_floor(self, scenario_file, tmp_path, monkeypatch, capsys, args):
         # floor 0.5, inside [0, 1] and solved by both sweeps, ends max_iter;
         # the baseline and every other floor converge.  The floor solves run
-        # one at a time (--threads 1), each built just before it is solved.
+        # one at a time, each built just before it is solved.
         build, solve = problems.build_p1, problems.solve_qp
         floors = []
 
@@ -600,3 +611,20 @@ class TestReproducibility:
         mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
         ma.pop("timestamp"), mb.pop("timestamp")
         assert ma == mb
+
+    @pytest.mark.parametrize("args", [
+        ["design-p4", "--zeta", "50", "--mesh", "0.1"], ["pareto", "--mesh", "0.25"],
+    ], ids=lambda a: a[0])
+    def test_threads_do_not_change_results(self, scenario_file, tmp_path, args):
+        # --threads is accepted and recorded, and changes no result file
+        for n in ("1", "3"):
+            assert run([args[0], "--scenario", scenario_file, *args[1:], "--threads", n],
+                       tmp_path / n) == 0
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert names == sorted(os.listdir(tmp_path / "3"))
+        for name in names:
+            if name != "manifest.json":
+                assert (tmp_path / "1" / name).read_bytes() == \
+                    (tmp_path / "3" / name).read_bytes(), name
+        m1, m3 = (strict_json(tmp_path / n / "manifest.json") for n in ("1", "3"))
+        assert (m1["config"]["threads"], m3["config"]["threads"]) == (1, 3)

@@ -134,8 +134,12 @@ class TestCaseParser:
         ("2  1   0.0", "2.5  1   0.0", r"non-integer bus id or type \[2.5, 1.0\]", 7),
         ("3  1  50.0", "3  1.5  50.0", "non-integer bus id or type", 8),
         ("2  3  0  0.05", "2  3.5  0  0.05", r"non-integer branch end buses \[2.0, 3.5\]", 12),
+        ("2  3  0  0.05", "2  2  0  0.05", "branch connects bus 2 to itself", 12),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", "baseMVA must be positive", None),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = -100;", "baseMVA must be positive", None),
     ], ids=["base-mva-blank", "assigned-twice", "bus-not-matrix", "unterminated",
-            "bus-id", "bus-type", "branch-end"])
+            "bus-id", "bus-type", "branch-end", "self-loop", "base-mva-zero",
+            "base-mva-negative"])
     def test_malformed_statements(self, old, new, match, line):
         assert old in TRIVIAL_CASE
         with pytest.raises(CaseParseError, match=match) as exc:
@@ -203,6 +207,14 @@ class TestProfiles:
     def test_bad_rows(self, row, msg):
         with pytest.raises(ProfileError, match=msg):
             parse_profiles(f"bus,kind,t1,t2,t3\n{row}\n", self.net, self.grid)
+
+    def test_blank_rows_skipped(self):
+        text = "bus,kind,t1,t2,t3\n1,load,1.0,2.0,3.0\n3,gen,0.5,0.5,0.5\n"
+        padded = text.replace("\n3,gen", "\n\n  \t\n3,gen") + " \n"
+        assert padded != text
+        p, q = (parse_profiles(t, self.net, self.grid) for t in (text, padded))
+        np.testing.assert_array_equal(p.load, q.load)
+        np.testing.assert_array_equal(p.gen, q.gen)
 
     def test_carriage_returns_end_lines(self):
         text = "bus,kind,t1,t2,t3\r1,load,1.0,2.0,3.0\r\n3,gen,0.5,0.5,0.5\r"
@@ -307,6 +319,14 @@ class TestValidation:
         s = dataclasses.replace(s, profiles=Profiles(
             gen=s.profiles.gen[:, :1], load=s.profiles.load))
         assert "profile-shape" in validate_scenario(s).codes()
+
+    def test_weight_shape(self):
+        s = self.build()
+        s = dataclasses.replace(s, weights=dataclasses.replace(
+            s.weights, beta=s.weights.beta[:2]))
+        rep = validate_scenario(s)
+        assert rep.codes() == ["weight-shape"]
+        assert "beta length (2,) != 3" in str(rep)
 
     def test_negative_weight(self):
         s = self.build(alpha=[1.0, 1.0, -2.0])

@@ -159,8 +159,7 @@ class TestBisection:
     def test_config_validation(self, monkeypatch):
         # the top floor is at least 1: P2 resolves no cell finer than ulp(1.0)
         for name, value in (("epsilon", 0.0), ("epsilon", math.ulp(1.0) / 2),
-                            ("mesh", -0.1), ("zeta", 0.0), ("zeta", -1.0),
-                            ("threads", 0)):
+                            ("mesh", -0.1), ("zeta", 0.0), ("zeta", -1.0)):
             rejected_before_any_solve(monkeypatch, name, value, name)
 
     @pytest.mark.parametrize("kw", [{"epsilon": math.nan}, {"epsilon": math.inf},
@@ -183,8 +182,6 @@ SETTING_READERS = {
     "epsilon": [lambda s, v: solve_p2(s, epsilon=v)],
     "mesh": [lambda s, v: solve_p4(s, 1.0, mesh=v), lambda s, v: pareto_front(s, mesh=v)],
     "zeta": [lambda s, v: solve_p4(s, v)],
-    "threads": [lambda s, v: solve_p4(s, 1.0, threads=v),
-                lambda s, v: pareto_front(s, threads=v)],
     "zeta_grid": [lambda s, v: pareto_front(s, zeta_grid=v)],
 }
 
@@ -392,13 +389,6 @@ class TestSweep:
         with pytest.raises(PolicyInputError, match="finite"):
             solve_p4(sink_scenario(), zeta)
 
-    def test_threads_do_not_change_results(self):
-        s = sink_scenario()
-        a = solve_p4(s, 50.0, mesh=0.1)
-        b = solve_p4(s, 50.0, mesh=0.1, threads=4)
-        assert a.tau_star == b.tau_star
-        assert a.trace == b.trace
-
 
 class TestParetoFront:
     def test_monotone_tau_and_normalized_cost(self):
@@ -419,27 +409,22 @@ class TestParetoFront:
             assert solo.cost_normalized == pytest.approx(cost_norm, rel=1e-12)
 
     def test_each_tau_evaluated_once(self, monkeypatch):
-        # one sweep path: no floor of the whole front is solved twice, the
-        # baseline stands in for floor 0, and the pool solves the same floors
+        # one sweep path: no floor of the whole front is solved twice, and
+        # the baseline stands in for floor 0
         s = sink_scenario()
         grid = (0.5, 50.0)
         swept = {t for zeta in grid for t, _, _ in full_sweep_p4(s, zeta, 0.1).trace}
         evaluate = policy.evaluate_f_tau
-        fronts, solved = {}, {}
-        for threads in (1, 2):
-            calls = []
+        calls = []
 
-            def counting(scenario, tau):
-                calls.append(tau)
-                return evaluate(scenario, tau)
+        def counting(scenario, tau):
+            calls.append(tau)
+            return evaluate(scenario, tau)
 
-            monkeypatch.setattr(policy, "evaluate_f_tau", counting)
-            fronts[threads] = pareto_front(s, grid, mesh=0.1, threads=threads)
-            assert len(calls) == len(set(calls)), threads
-            assert set(calls) <= swept - {0.0}, threads
-            solved[threads] = sorted(calls)
-        assert fronts[1] == fronts[2]
-        assert solved[1] == solved[2]
+        monkeypatch.setattr(policy, "evaluate_f_tau", counting)
+        pareto_front(s, grid, mesh=0.1)
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= swept - {0.0}
 
     def test_medium_grid_solve_count(self, scenario_medium, monkeypatch):
         # the first zeta grid of the benchmark's pareto-sweep workload: the
@@ -540,7 +525,7 @@ class TestAgainstFullSweep:
     def test_medium_pareto_grids(self, scenario_medium, medium_oracle_cache, grid):
         cache = {}
         for zeta in grid:
-            res = solve_p4(scenario_medium, zeta, 0.05, cost_cache=cache, threads=2)
+            res = solve_p4(scenario_medium, zeta, 0.05, cost_cache=cache)
             full = full_sweep_p4(scenario_medium, zeta, 0.05, cache=medium_oracle_cache)
             assert same_as_full_sweep(res, full), zeta
         # the full sweep solves 39 floors; baseline plus ten solves here

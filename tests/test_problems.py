@@ -174,6 +174,18 @@ class TestSolutionPhysics:
         assert not isinstance(exc.value, (InfeasibleError, BuildError))
 
 
+    @pytest.mark.parametrize("name", ["low", "medium"])
+    def test_report_lists_load_buses_only(self, request, name):
+        # S+- of a load-free bus is fixed at 0 and solves to about 1e-10;
+        # the load profile, not that noise, decides which buses are listed
+        scenario = request.getfixturevalue(f"scenario_{name}")
+        prog, lay = build_p1(scenario, 0.6)
+        report = extract_report(scenario, lay, solve_qp(prog))
+        loaded = scenario.profiles.load.sum(axis=1) > 0
+        assert set(report.bus_ratios) == {
+            b for b, on in zip(scenario.network.bus_ids(), loaded) if on}
+
+
 class TestFeasibilityForm:
     def test_p3_has_zero_objective(self):
         prog = build_p3(chain_scenario(), 0.5)

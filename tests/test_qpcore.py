@@ -86,6 +86,18 @@ class TestValidation:
         with pytest.raises(QPError, match="dimension"):
             qp(n=2, q_diag=[1.0], c_lin=[0.0, 0.0])
 
+    @pytest.mark.parametrize("rows, rhs, match", [
+        ("A_eq", "b_eq", "^equality system dimension mismatch"),
+        ("G_ineq", "h_ineq", "^inequality system dimension mismatch"),
+    ], ids=["equality", "inequality"])
+    def test_row_block_dimension_mismatch(self, rows, rhs, match):
+        # a row block with too few columns, then a right-hand side of the
+        # wrong length
+        for kw in ({rows: sp.csr_matrix(np.ones((1, 1))), rhs: [1.0]},
+                   {rows: sp.csr_matrix(np.ones((1, 2))), rhs: [1.0, 2.0]}):
+            with pytest.raises(QPError, match=match):
+                qp(n=2, q_diag=[1.0, 1.0], c_lin=[0.0, 0.0], **kw)
+
     def test_negative_curvature_rejected(self):
         with pytest.raises(QPError, match="convexity"):
             qp(q_diag=[-1.0], c_lin=[0.0])
