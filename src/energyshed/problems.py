@@ -3,8 +3,9 @@
 The cost-minimization problem couples, per time step, a DC power flow with
 per-bus flexibility variables, and adds per-shed generation-ratio
 constraints plus epigraph capacity variables that carry the quadratic
-peak-capacity objective.  The ratio constraints are linearized by clearing
-the (strictly positive) denominator, so the whole program stays convex.
+peak-capacity objective.  DC power flow is written as cycle flows (Hörsch
+et al. 2018, EPSR 158), with no bus angles.  The ratio constraints are
+linearized by clearing the (strictly positive) denominator: P1 is convex.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ class InfeasibleError(PolicyError):
 class VariableLayout:
     """Index map for the flat variable vector.
 
-    Order: bus angles (bus-major, time-minor), branch flows, flexibility
-    injections S+ and S-, then per-bus capacity epigraph variables C+ / C-.
-    The reference angle is pinned by equality rows, not removed.
+    Order: branch flows (branch-major, time-minor), flexibility injections
+    S+ and S-, then per-bus capacity epigraph variables C+ / C-.  There are
+    no bus angles: build_p1's cycle rows carry the DC flow law.
     """
     n_bus: int
     n_branch: int
@@ -47,16 +48,8 @@ class VariableLayout:
     x_min: tuple[float, ...]  # per-shed ratio floor used in the build
 
     @property
-    def off_theta(self):
-        return 0
-
-    @property
-    def off_flow(self):
-        return self.n_bus * self.steps
-
-    @property
     def off_sp(self):
-        return self.off_flow + self.n_branch * self.steps
+        return self.n_branch * self.steps
 
     @property
     def off_sm(self):
@@ -78,8 +71,7 @@ class VariableLayout:
         """Split a flat solution vector into named arrays."""
         nb, ne, T = self.n_bus, self.n_branch, self.steps
         return {
-            "theta": x[self.off_theta:self.off_flow].reshape(nb, T),
-            "flow": x[self.off_flow:self.off_sp].reshape(ne, T),
+            "flow": x[:self.off_sp].reshape(ne, T),
             "sp": x[self.off_sp:self.off_sm].reshape(nb, T),
             "sm": x[self.off_sm:self.off_cp].reshape(nb, T),
             "cp": x[self.off_cp:self.off_cm],
@@ -112,12 +104,42 @@ def _csr(blocks, m, n):
                           (np.concatenate(rows), np.concatenate(cols))), shape=(m, n))
 
 
+def _cycles(net):
+    """Kirchhoff's voltage law per fundamental cycle of a BFS spanning tree
+    rooted at the reference bus: arrays (cycle, branch, o_e * x_e), one entry
+    per branch of a cycle.  A chord's cycle runs along it, from its from bus,
+    and back through the tree; a self-loop is a cycle of its own."""
+    idx = net.bus_index()
+    ends = [(idx[br.from_bus], idx[br.to_bus], br.reactance) for br in net.branches]
+    adj = [[] for _ in net.buses]  # (branch, far bus, o_e * x_e walking in from it)
+    for e, (f, t, x) in enumerate(ends):
+        adj[f].append((e, t, -x))
+        adj[t].append((e, f, x))
+    queue = [idx[net.reference_bus]]
+    up = {queue[0]: (None, None, 0, None)}  # bus -> (tree branch, parent, depth, o_e * x_e up)
+    for u in queue:
+        for e, v, ox in adj[u]:
+            if v not in up:
+                up[v] = (e, u, up[u][2] + 1, ox)
+                queue.append(v)
+    tree, out = {v[0] for v in up.values()}, []
+    for c, e in enumerate(e for e in range(len(ends)) if e not in tree):
+        a, b, x = ends[e]
+        out.append((c, e, x))
+        while a != b:  # climb from the deeper end until the ends meet
+            on_b = up[b][2] >= up[a][2]  # b's side runs up the tree, a's down it
+            te, parent, _, ox = up[b if on_b else a]
+            out.append((c, te, ox if on_b else -ox))
+            a, b = (a, parent) if on_b else (parent, b)
+    return np.array(out).reshape(-1, 3).T
+
+
 def build_p1(scenario, x_min):
     """Compile the cost-minimization problem; returns (QuadProgram, layout).
 
     Each constraint block is a (rows, cols, values) triple of index arrays.
     The balance row of (bus i, step t) is i*T + t, which is also the offset
-    of theta, S+ and S- at (i, t) within their blocks.
+    of S+ and S- at (i, t) within their blocks; the cycle rows follow.
     """
     rep = validate_scenario(scenario)
     if not rep.ok:
@@ -132,14 +154,14 @@ def build_p1(scenario, x_min):
     gen, load = scenario.profiles.gen, scenario.profiles.load
     cap_p, cap_m = scenario.budgets.cap_plus, scenario.budgets.cap_minus
 
-    def bus_t(buses):
-        """The offsets i*T + t of the given bus positions i, t fastest."""
-        return (np.asarray(buses, dtype=int)[:, None] * T + np.arange(T)).ravel()
+    def at_t(pos):
+        """The offsets p*T + t of bus, branch or cycle positions p, t fastest."""
+        return (np.asarray(pos, dtype=int)[:, None] * T + np.arange(T)).ravel()
 
     # per (branch, t): the (bus, t) offsets of its end buses, and its flow
-    frm = bus_t([idx[br.from_bus] for br in net.branches])
-    to = bus_t([idx[br.to_bus] for br in net.branches])
-    flow = lay.off_flow + np.arange(nft)
+    frm = at_t([idx[br.from_bus] for br in net.branches])
+    to = at_t([idx[br.to_bus] for br in net.branches])
+    flow = np.arange(nft)
 
     # ---- bounds ------------------------------------------------------
     lo = np.full(n, -INF)
@@ -153,18 +175,16 @@ def build_p1(scenario, x_min):
     hi[lay.off_cm + np.flatnonzero(cap_m.max(axis=1) == 0)] = 0.0
 
     # ---- equalities --------------------------------------------------
-    bal, law = np.arange(nbt), nbt + np.arange(nft)
+    bal, (cyc, branch, ox) = np.arange(nbt), _cycles(net)
+    n_kvl = (ne - nb + 1) * T  # a connected network has ne - nb + 1 cycles
     A_eq = _csr([
         # power balance per (bus, t): S+ - S- - sum(out flows) + sum(in flows) = L - G
         (bal, lay.off_sp + bal, 1.0), (bal, lay.off_sm + bal, -1.0),
         (frm, flow, -1.0), (to, flow, 1.0),
-        # flow law per (branch, t): x_e * flow - theta_f + theta_to = 0
-        (law, flow, np.repeat([br.reactance for br in net.branches], T)),
-        (law, lay.off_theta + frm, -1.0), (law, lay.off_theta + to, 1.0),
-        # reference angle pinned per t
-        (nbt + nft + np.arange(T), lay.off_theta + bus_t([idx[net.reference_bus]]), 1.0),
-    ], nbt + nft + T, n)
-    b_eq = np.concatenate([(load - gen).ravel(), np.zeros(nft + T)])
+        # KVL per (cycle, t): sum over the cycle's branches of o_e x_e flow = 0
+        (nbt + at_t(cyc), at_t(branch), np.repeat(ox, T)),
+    ], nbt + n_kvl, n)
+    b_eq = np.concatenate([(load - gen).ravel(), np.zeros(n_kvl)])
 
     # ---- inequalities -------------------------------------------------
     # epigraph: S+ <= C+ and S- <= C- wherever the budget allows S > 0, the
@@ -190,7 +210,7 @@ def build_p1(scenario, x_min):
     # linearized ratio floor per shed, the last k rows (build_p2_step):
     #   -sum S+ + tau * sum S-  <=  sum G - tau * sum L
     sheds = shed_rows(scenario)
-    it = bus_t([i for members in sheds for i in members])
+    it = at_t([i for members in sheds for i in members])
     k_of = np.repeat(np.arange(len(sheds)), [len(members) * T for members in sheds])
     pos = x_min[k_of] > 0  # at tau = 0 the S- entry is left out
     blocks += [(r + k_of, lay.off_sp + it, -1.0),

@@ -8,15 +8,17 @@ the algorithm that solve_p2 replaced; the P4 oracle solves every point of
 both sweeps, the algorithm that solve_p4's bound-and-prune replaced.  The
 feasibility oracle is the phase-1 elastic LP that the solver's Farkas
 certificate replaced, solved by HiGHS; farkas_ok checks such a
-certificate from the program's data alone.  The P1 oracle is the builder
-that build_p1's index-array assembly replaced: one nonzero at a time.
+certificate from the program's data alone.  The P1 oracle is P1 in the
+DC form that build_p1's cycle flows replaced, with bus angles and a flow
+law per branch, assembled one nonzero at a time.
 
 The checks at the end are what the acceptance gates and unit tests
 measure solutions and scenarios with; neither the CLI nor the library
 calls them.  kkt_residuals gives a solve's scaled KKT residuals,
 power_balance_residual and flow_law_residual its conservation and DC
-flow-law errors, build_p3 the zero-objective feasibility form of P1, and
-total_demand and baseline_ratio a shed's demand and pre-flexibility ratio.
+flow-law errors (the angles recovered along a spanning tree), build_p3
+the zero-objective feasibility form of P1, and total_demand and
+baseline_ratio a shed's demand and pre-flexibility ratio.
 """
 
 import itertools
@@ -256,34 +258,44 @@ def farkas_ok(p, sol):
 
 
 def loop_build_p1(scenario, x_min):
-    """P1 as build_p1 compiles it, assembled one nonzero at a time.
+    """P1 in its angle form, assembled one nonzero at a time.
 
-    Loops over bus x step and branch x step, with the rows in build_p1's
-    order: balance, flow law, reference angle; then epigraph (C+ before C-
-    per (bus, t)), export upper, export lower and the ratio rows.  The
-    scenario is taken as valid.
+    An angle per (bus, step), bus-major, comes first; build_p1's variables
+    follow in its layout, shifted by n_bus * steps.  Loops over bus x step
+    and branch x step, with the rows: balance, flow law
+    x_e * flow = theta_from - theta_to per (branch, step) and the reference
+    angle per step; then build_p1's inequality rows in its order: epigraph
+    (C+ before C- per (bus, t)), export upper, export lower and the ratio
+    rows.  The scenario is taken as valid.
     """
     net = scenario.network
     nb, ne, T = net.n_bus, net.n_branch, scenario.time_grid.steps
     k = len(scenario.partition.sheds)
     x_min = np.broadcast_to(np.asarray(x_min, dtype=float), (k,))
     lay = VariableLayout(n_bus=nb, n_branch=ne, steps=T, x_min=tuple(x_min))
-    n = lay.n_vars
+    sh = nb * T  # the angles' columns
+    n = sh + lay.n_vars
     idx = net.bus_index()
     gen, load = scenario.profiles.gen, scenario.profiles.load
     cap_p, cap_m = scenario.budgets.cap_plus, scenario.budgets.cap_minus
 
     def theta(i, t):
-        return lay.off_theta + i * T + t
+        return i * T + t
 
     def flow(e, t):
-        return lay.off_flow + e * T + t
+        return sh + e * T + t
 
     def s_plus(i, t):
-        return lay.off_sp + i * T + t
+        return sh + lay.off_sp + i * T + t
 
     def s_minus(i, t):
-        return lay.off_sm + i * T + t
+        return sh + lay.off_sm + i * T + t
+
+    def c_plus(i):
+        return sh + lay.off_cp + i
+
+    def c_minus(i):
+        return sh + lay.off_cm + i
 
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
@@ -296,11 +308,11 @@ def loop_build_p1(scenario, x_min):
             lo[s_plus(i, t)] = lo[s_minus(i, t)] = 0.0
             hi[s_plus(i, t)] = cap_p[i, t]
             hi[s_minus(i, t)] = cap_m[i, t]
-        lo[lay.off_cp + i] = lo[lay.off_cm + i] = 0.0
+        lo[c_plus(i)] = lo[c_minus(i)] = 0.0
         if max(cap_p[i]) == 0:
-            hi[lay.off_cp + i] = 0.0
+            hi[c_plus(i)] = 0.0
         if max(cap_m[i]) == 0:
-            hi[lay.off_cm + i] = 0.0
+            hi[c_minus(i)] = 0.0
 
     rows, cols, vals, rhs = [], [], [], []
 
@@ -344,12 +356,12 @@ def loop_build_p1(scenario, x_min):
         for t in range(T):
             if cap_p[i, t] > 0:
                 add(r, s_plus(i, t), 1.0)
-                add(r, lay.off_cp + i, -1.0)
+                add(r, c_plus(i), -1.0)
                 rhs.append(0.0)
                 r += 1
             if cap_m[i, t] > 0:
                 add(r, s_minus(i, t), 1.0)
-                add(r, lay.off_cm + i, -1.0)
+                add(r, c_minus(i), -1.0)
                 rhs.append(0.0)
                 r += 1
     up, lw = scenario.budgets.export_upper, scenario.budgets.export_lower
@@ -383,8 +395,8 @@ def loop_build_p1(scenario, x_min):
 
     q = np.zeros(n)
     for i in range(nb):
-        q[lay.off_cp + i] = scenario.weights.alpha[i]
-        q[lay.off_cm + i] = scenario.weights.beta[i]
+        q[c_plus(i)] = scenario.weights.alpha[i]
+        q[c_minus(i)] = scenario.weights.beta[i]
     return QuadProgram(n=n, q_diag=q, c_lin=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
                        G_ineq=G_ineq, h_ineq=h_ineq, lo=lo, hi=hi)
 
@@ -436,14 +448,31 @@ def power_balance_residual(scenario, layout, x):
 
 
 def flow_law_residual(scenario, layout, x):
-    """Max |x_e * flow - angle difference| over branches and steps."""
-    dec = layout.decode(x)
-    idx = scenario.network.bus_index()
+    """Max |x_e * flow - (theta_from - theta_to)| over branches and steps.
+
+    The angles are recovered from the flows: theta_ref = 0, then along the
+    branches of a depth-first spanning tree from the reference bus, each
+    tree branch's flow law taken as exact.  A flow that meets Kirchhoff's
+    voltage law on every cycle meets the flow law on every other branch.
+    """
+    net = scenario.network
+    flow = layout.decode(x)["flow"]
+    theta = {net.reference_bus: np.zeros(layout.steps)}
+    stack = [net.reference_bus]
+    while stack:
+        bus = stack.pop()
+        for e, br in enumerate(net.branches):
+            drop = br.reactance * flow[e]
+            if br.from_bus == bus and br.to_bus not in theta:
+                theta[br.to_bus] = theta[bus] - drop
+                stack.append(br.to_bus)
+            elif br.to_bus == bus and br.from_bus not in theta:
+                theta[br.from_bus] = theta[bus] + drop
+                stack.append(br.from_bus)
     worst = 0.0
-    for e, br in enumerate(scenario.network.branches):
-        fi, ti = idx[br.from_bus], idx[br.to_bus]
-        res = np.abs(br.reactance * dec["flow"][e] - dec["theta"][fi] + dec["theta"][ti])
-        worst = max(worst, float(res.max()))
+    for e, br in enumerate(net.branches):
+        res = br.reactance * flow[e] - theta[br.from_bus] + theta[br.to_bus]
+        worst = max(worst, float(np.abs(res).max()))
     return worst
 
 

@@ -26,8 +26,10 @@ from energyshed.qpcore import check_feasibility, solve_qp
 from oracles import (
     baseline_ratio,
     build_p3,
+    farkas_ok,
     flow_law_residual,
     loop_build_p1,
+    phase1_feasibility,
     power_balance_residual,
 )
 
@@ -51,16 +53,16 @@ def chain_scenario(tau_friendly=True, **kw):
 
 class TestLayout:
     def test_variable_count_two_bus_one_step(self):
-        # 2 angles + 1 flow + 2 s_plus + 2 s_minus + 2 c_plus + 2 c_minus
+        # 1 flow + 2 s_plus + 2 s_minus + 2 c_plus + 2 c_minus, no angles
         prog, lay = build_p1(two_bus_scenario(), 0.0)
-        assert prog.n == 11
-        assert lay.n_vars == 11
+        assert prog.n == 9
+        assert lay.n_vars == 9
 
     def test_decode_blocks_partition_the_variables(self):
         _, lay = build_p1(chain_scenario(), 0.0)
         dec = lay.decode(np.arange(lay.n_vars))
         T = lay.steps
-        shapes = {"theta": (lay.n_bus, T), "flow": (lay.n_branch, T),
+        shapes = {"flow": (lay.n_branch, T),
                   "sp": (lay.n_bus, T), "sm": (lay.n_bus, T),
                   "cp": (lay.n_bus,), "cm": (lay.n_bus,)}
         assert {k: v.shape for k, v in dec.items()} == shapes
@@ -355,23 +357,53 @@ class TestExportLimits:
         assert check_feasibility(build_p1(capped, floors)[0]) == "infeasible"
 
 
-def assert_same_program(p, q):
-    """Exact equality of every array of two programs, dtypes included."""
-    for name in ("A_eq", "G_ineq"):
-        a, b = getattr(p, name), getattr(q, name)
+def assert_same_program(p, q, nbt):
+    """Exact equality, dtypes included, of every block build_p1's program p
+    shares with loop_build_p1's angle form q: q's first nbt = n_bus * steps
+    columns are its angles, which enter no row but the flow law and
+    reference rows.  Of the equality rows only the power balance, the first
+    nbt, is shared; p's cycle rows and q's angle rows are not compared."""
+    assert not q.A_eq[:nbt, :nbt].nnz and not q.G_ineq[:, :nbt].nnz
+    for name, a, b in (("A_eq", p.A_eq[:nbt], q.A_eq[:nbt, nbt:]),
+                       ("G_ineq", p.G_ineq, q.G_ineq[:, nbt:])):
         assert a.shape == b.shape
         for part in ("indptr", "indices", "data"):
             x, y = getattr(a, part), getattr(b, part)
             assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
-    for name in ("b_eq", "h_ineq", "lo", "hi", "q_diag", "c_lin"):
-        x, y = getattr(p, name), getattr(q, name)
+    for name, x, y in (("b_eq", p.b_eq[:nbt], q.b_eq[:nbt]), ("h_ineq", p.h_ineq, q.h_ineq),
+                       ("lo", p.lo, q.lo[nbt:]), ("hi", p.hi, q.hi[nbt:]),
+                       ("q_diag", p.q_diag, q.q_diag[nbt:]), ("c_lin", p.c_lin, q.c_lin[nbt:])):
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def assert_same_optimum(s, x_min):
+    """build_p1's cycle form and loop_build_p1's angle form solve to the
+    same status and, where optimal, the same cost within 1e-9 relative.
+    Each cost lies within its solve's duality gap of the optimum, which
+    bounds their distance where the optimum is near 0.
+
+    On some infeasible line scenarios (4 in about 25,000 draws) the angle
+    form's solve, with its free angles, ends max_iter; the cycle form's
+    status is then checked against the HiGHS phase-1 LP, and its ray by
+    farkas_ok."""
+    p = build_p1(s, x_min)[0]
+    sol = solve_qp(p)
+    ref = solve_qp(loop_build_p1(s, x_min))
+    if ref.status == "max_iter":
+        want = "optimal" if phase1_feasibility(p) == "feasible" else "infeasible"
+        assert sol.status == want
+        assert want == "optimal" or farkas_ok(p, sol)
+        return
+    assert sol.status == ref.status
+    if ref.status == "optimal":
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-9,
+                                              abs=sol.gap + ref.gap)
 
 
 @st.composite
 def line_scenarios(draw):
-    """Chain scenarios with zero-budget buses, parallel branches and export
-    limits whose entries may be +-inf (no limit)."""
+    """Chain scenarios with zero-budget buses, parallel branches, self-loops
+    and export limits whose entries may be +-inf (no limit)."""
     n = draw(st.integers(2, 5))
     steps = draw(st.integers(1, 4))
     vals = st.floats(0.0, 3.0)
@@ -395,9 +427,13 @@ def line_scenarios(draw):
         partition=partition, flow_limit=draw(st.sampled_from([np.inf, 0.7])),
         export_upper=draw(st.sampled_from([None, up])),
         export_lower=draw(st.sampled_from([None, lw])), flex_everywhere=True)
-    extra = draw(st.lists(st.tuples(st.integers(1, n - 1), st.floats(0.01, 0.5)),
+    # parallel branches either way round (a chord from the deeper bus climbs
+    # from its from end), and self-loops, which close a cycle on their own
+    ends = st.sampled_from([(0, 1), (1, 0), (0, 0)])
+    extra = draw(st.lists(st.tuples(st.integers(1, n - 1), ends, st.floats(0.01, 0.5)),
                           max_size=3))
-    branches = s.network.branches + tuple(Branch(i, i + 1, x, 1.5) for i, x in extra)
+    branches = s.network.branches + tuple(Branch(i + f, i + t, x, 1.5)
+                                          for i, (f, t), x in extra)
     s = dataclasses.replace(s, network=dataclasses.replace(s.network, branches=branches))
     k = len(partition)
     x_min = draw(st.one_of(st.just(0.0), st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k)))
@@ -405,17 +441,109 @@ def line_scenarios(draw):
 
 
 class TestAgainstLoopBuilder:
-    """build_p1 compiles exactly the program the per-entry builder does."""
+    """build_p1 compiles the per-entry builder's program, less its angles:
+    the same bounds, objective, inequality rows and power balance rows, and
+    the same optimum."""
 
     @pytest.mark.parametrize("name", ["low", "medium", "high"])
     def test_bundled(self, request, name):
         s = request.getfixturevalue(f"scenario_{name}")
         k = len(s.partition.sheds)
+        nbt = s.network.n_bus * s.time_grid.steps
         for x_min in (0.0, 0.5, np.linspace(0.0, 0.9, k)):
-            assert_same_program(build_p1(s, x_min)[0], loop_build_p1(s, x_min))
+            assert_same_program(build_p1(s, x_min)[0], loop_build_p1(s, x_min), nbt)
 
     @given(line_scenarios())
     @settings(max_examples=60, deadline=None)
     def test_line_scenarios(self, case):
         s, x_min = case
-        assert_same_program(build_p1(s, x_min)[0], loop_build_p1(s, x_min))
+        nbt = s.network.n_bus * s.time_grid.steps
+        assert_same_program(build_p1(s, x_min)[0], loop_build_p1(s, x_min), nbt)
+
+    @pytest.mark.parametrize("name", ["low", "medium", "high"])
+    @pytest.mark.parametrize("floor", [0.0, 0.5, 0.9, 1.0, 3.0])
+    def test_bundled_optimum(self, request, name, floor):
+        assert_same_optimum(request.getfixturevalue(f"scenario_{name}"), floor)
+
+    @given(line_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_line_scenarios_optimum(self, case):
+        assert_same_optimum(*case)
+
+
+def parallel_scenario(branches):
+    """Bus 1 exports 1.0 to bus 2 over the given (from, to, reactance)
+    branches, with no flexibility."""
+    s = make_line_scenario([[2.0], [0.0]], [[1.0], [1.0]], 0.0, 0.0)
+    net = dataclasses.replace(s.network, branches=tuple(
+        Branch(f, t, x, np.inf) for f, t, x in branches))
+    return dataclasses.replace(s, network=net)
+
+
+class TestCycleFlows:
+    """The rows after the power balance are Kirchhoff's voltage law, one per
+    fundamental cycle and step, and carry the DC flow law."""
+
+    def solve(self, s):
+        prog, lay = build_p1(s, 0.0)
+        sol = solve_qp(prog)
+        assert sol.status == "optimal"
+        return prog, lay.decode(sol.x)["flow"][:, 0]
+
+    @pytest.mark.parametrize("x1, x2", [(0.1, 0.3), (0.25, 0.05)])
+    def test_parallel_branches_split_by_reactance(self, x1, x2):
+        # the second branch is reversed, so bus 1 sends f1 and -f2 to bus 2,
+        # in the ratio x2 : x1; the balance rows hold to the solver's 1e-8
+        prog, flow = self.solve(parallel_scenario([(1, 2, x1), (2, 1, x2)]))
+        assert prog.m_eq == 2 + 1
+        assert flow[0] / -flow[1] == pytest.approx(x2 / x1, rel=1e-12)
+        assert flow[0] - flow[1] == pytest.approx(1.0, abs=1e-7)
+
+    def test_radial_network_has_no_cycle_rows(self):
+        s = chain_scenario()
+        prog, lay = build_p1(s, 0.5)
+        assert prog.m_eq == lay.n_bus * lay.steps
+
+    def test_self_loop_carries_no_flow(self):
+        # the angle form forces x * f = theta_2 - theta_2 = 0: nothing else
+        # in the program holds the self-loop's flow
+        prog, flow = self.solve(parallel_scenario([(1, 2, 0.1), (2, 2, 0.2)]))
+        assert prog.A_eq[2:].toarray().tolist() == [[0.0, 0.2] + [0.0] * (prog.n - 2)]
+        assert flow[1] == pytest.approx(0.0, abs=1e-12)
+        assert flow[0] == pytest.approx(1.0, abs=1e-7)
+
+    def test_medium_size(self, scenario_medium):
+        # 46 flows and 39 buses' S+, S-, C+ and C- over 24 steps; 936
+        # balance rows and 8 cycles x 24 steps in place of 39 + 46 + 1
+        # rows per step with the angles
+        prog, _ = build_p1(scenario_medium, 0.6)
+        assert prog.n == 3054
+        assert prog.A_eq.shape == (1128, 3054)
+
+    @given(line_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_rows_are_a_cycle_basis(self, case):
+        assert_cycle_basis(case[0])
+
+    @pytest.mark.parametrize("name", ["low", "medium", "high"])
+    def test_bundled_cycle_rows_are_a_cycle_basis(self, request, name):
+        assert_cycle_basis(request.getfixturevalue(f"scenario_{name}"))
+
+
+def assert_cycle_basis(s):
+    """Each cycle row of build_p1 over x_e is a vector o with incidence @ o
+    = 0, and the rows are independent and as many as the cycle space's
+    dimension, so they span it: the flows that satisfy them are those the
+    angle form admits."""
+    prog, lay = build_p1(s, 0.0)
+    nbt, nft = lay.n_bus * lay.steps, lay.n_branch * lay.steps
+    x = np.repeat([br.reactance for br in s.network.branches], lay.steps)
+    cycles = prog.A_eq[nbt:, :nft].toarray() / x
+    incidence = prog.A_eq[:nbt, :nft].toarray()
+    assert not prog.A_eq[nbt:, nft:].nnz
+    assert np.abs(incidence @ cycles.T).max(initial=0.0) <= 1e-12
+    assert set(np.unique(cycles)) <= {-1.0, 0.0, 1.0}
+    n_cycles = (lay.n_branch - lay.n_bus + 1) * lay.steps
+    assert len(cycles) == n_cycles
+    if n_cycles:
+        assert np.linalg.matrix_rank(cycles) == n_cycles
