@@ -17,9 +17,7 @@ constraints are.
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -194,9 +192,9 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None):
     neither way raises PolicyError (evaluate_f_tau).  So f(tau) <=
     bound(tau) = tau - max(_lower(report_a, tau - a) for a <= tau)/zeta,
     and a point whose bound is below the sweep's incumbent, strictly, or
-    is -inf, is pruned.  Each round splits the surviving points into runs
-    between solved floors and solves the middle point of every run, in
-    increasing order.
+    is -inf, is pruned.  Each step splits the surviving points into runs
+    between solved floors and solves the middle point of the widest run
+    (the lowest on a tie).
 
     tau_star is the floor rounded to 12 digits, the cache key, so that a
     floor reads the same from either sweep.  The trace lists the swept
@@ -238,10 +236,10 @@ def solve_p4(scenario, zeta, mesh=MESH, cost_cache=None):
             todo = [t for t in todo if t not in cache and -INF < bound(t) >= best]
             if not todo:
                 break
-            solved = sorted(cache)
-            runs = [list(run) for _, run in groupby(todo, lambda t: bisect(solved, t))]
-            batch = [run[len(run) // 2] for run in runs]
-            cache.update((t, evaluate_f_tau(scenario, t)) for t in batch)
+            edges = sorted(cache) + [INF]  # runs lie between consecutive solved floors
+            run = max(([t for t in todo if a < t < b] for a, b in zip(edges, edges[1:])), key=len)
+            t = run[len(run) // 2]  # the middle of the widest run, the lowest on a tie
+            cache[t] = evaluate_f_tau(scenario, t)
         vals = [value(k) for k in keys]
         i = vals.index(max(vals))  # the first maximum: ties go to the smaller tau
         return points[i], vals[i]

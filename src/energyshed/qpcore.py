@@ -301,10 +301,8 @@ def _ipm(p):
         y = y + ad * dy
         z = z + ad * dz
 
-    duals_hi = np.zeros(n)
-    duals_lo = np.zeros(n)
-    duals_hi[hi_idx] = z[mg:mg + hi_idx.size]
-    duals_lo[lo_idx] = z[mg + hi_idx.size:]
+    duals_hi = np.bincount(hi_idx, z[mg:mg + hi_idx.size], minlength=n)
+    duals_lo = np.bincount(lo_idx, z[mg + hi_idx.size:], minlength=n)
     return Solution(x=x, duals_eq=y, duals_ineq=z[:mg].copy(),
                     objective=p.objective(x), status=status,
                     iterations=it, duals_lo=duals_lo, duals_hi=duals_hi,
@@ -319,9 +317,7 @@ def _diag_pos(K):
 
 def _max_step(v, dv):
     neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, float(np.min(-v[neg] / dv[neg])))
+    return float(np.min(-v[neg] / dv[neg], initial=1.0))
 
 
 # ---------------------------------------------------------------------------

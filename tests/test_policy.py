@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -565,6 +566,60 @@ class TestAgainstFullSweep:
         res = solve_p4(scenario_medium, 10.0, 0.05)
         assert res.tau_star == 0.54
         assert res.probes == 8
+        # at mesh 0.01, solving the widest run's middle first leaves 16
+        # floors; solving every run's middle each round made 17
+        res = solve_p4(scenario_medium, 10.0, 0.01)
+        assert res.tau_star == 0.54
+        assert res.probes == 16
+
+    def test_interior_cut_solve_count(self, scenario_medium, monkeypatch):
+        # shed 7's cap_plus cut to 15% puts tau* inside the mesh, with
+        # infeasible floors above it: 12 floor solves (15 when every run's
+        # middle was solved each round)
+        evaluate = policy.evaluate_f_tau
+        calls = []
+
+        def counting(scenario, tau):
+            calls.append(tau)
+            return evaluate(scenario, tau)
+
+        monkeypatch.setattr(policy, "evaluate_f_tau", counting)
+        res = solve_p4(with_cap_cut(scenario_medium, 7, 0.15), 0.01, 0.01)
+        assert res.tau_star == 0.552
+        assert len(calls) == len(set(calls)) == 12
+
+    # single-shed chains whose mesh-0.02 runs are long enough for the
+    # pick to matter: each solves 10 floors, the baseline included (11
+    # when every run's middle was solved each round)
+    @pytest.mark.parametrize("seed, zeta", [(0, 10.0), (5, 100.0), (11, 10.0)])
+    def test_fine_mesh_line_cases(self, seed, zeta):
+        s, _ = single_shed_scenario(np.random.default_rng(seed), False)
+        res = solve_p4(s, zeta, 0.02)
+        assert same_as_full_sweep(res, full_sweep_p4(s, zeta, 0.02))
+        assert res.probes == 10
+
+    def test_widest_run_solved_first(self, monkeypatch):
+        # a stub cost curve on [0, 1] at mesh 0.1 and zeta 1.  Floor 0.6
+        # (f 0.25) leaves runs [0.4, 0.5] and [0.7 .. 1.0]: the wider one's
+        # middle, 0.9, comes next.  0.9 is infeasible, which leaves
+        # [0.4, 0.5] and [0.7, 0.8], equally wide: the lower run's middle,
+        # 0.5, comes next, then 0.8 (f 0.36), which prunes the rest
+        def report(cost, slope):
+            return SimpleNamespace(cost=cost, gap=0.0, slope=slope)
+
+        curve = {0.6: report(0.35, 0.8), 0.9: None, 0.5: report(0.3, 0.0),
+                 0.8: report(0.44, 10.0)}
+        calls = []
+
+        def stub(scenario, tau):
+            calls.append(tau)
+            return curve[tau]
+
+        monkeypatch.setattr(policy, "evaluate_f_tau", stub)
+        cache = {0.0: report(0.0, 0.25)}
+        res = solve_p4(sink_scenario(), 1.0, mesh=0.1, cost_cache=cache)
+        assert calls == [0.6, 0.9, 0.5, 0.8]
+        assert res.tau_star == 0.8
 
     def test_overflowing_f_ties_to_floor_zero(self, monkeypatch):
         # cost/zeta overflows at every floor: f is -inf throughout, every
