@@ -254,8 +254,8 @@ def _cmd_analyze(run):
     base = scenario.network.base_mva
     grid = [round(b, 10) for b in
             np.arange(0.0, run.args.max_budget + 1e-12, run.args.budget_step)]
-    up = scenario.budgets.export_upper if run.args.mode == "limits" else None
-    if run.args.mode == "limits" and up is None:
+    up = scenario.budgets.export_upper
+    if run.args.mode == "limits" and not np.isfinite(up).any():
         raise AnalysisError("scenario has no export limits; "
                             "use mode 'unconstrained' or 'zero_export'")
     rows = []
@@ -265,7 +265,7 @@ def _cmd_analyze(run):
                 gen=scenario.profiles.gen[sel].sum(axis=0),
                 load=scenario.profiles.load[sel].sum(axis=0),
                 cap_plus=scenario.budgets.cap_plus[sel].sum(axis=0),
-                export_limit=None if up is None else up[sel].sum(axis=0),
+                export_limit=up[sel].sum(axis=0) if run.args.mode == "limits" else None,
             )
             curve = capacity_curve(series, grid, mode=run.args.mode)
         except AnalysisError as exc:

@@ -109,8 +109,8 @@ class Profiles:
 class FlexBudget:
     cap_plus: np.ndarray   # (n_bus, steps)
     cap_minus: np.ndarray  # (n_bus, steps)
-    export_upper: np.ndarray | None = None  # (n_bus, steps), +INF = absent
-    export_lower: np.ndarray | None = None
+    export_upper: np.ndarray  # (n_bus, steps), +INF where there is no limit
+    export_lower: np.ndarray  # (n_bus, steps), -INF where there is no limit
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def _number(tok, where, line, ln):
     return val
 
 
-KNOWN_CASE_FIELDS = {"baseMVA", "bus", "branch", "version"}
+KNOWN_CASE_FIELDS = {"baseMVA", "bus", "branch"}
 _ASSIGN = re.compile(r"\s*mpc\.(\w+)\s*=\s*(.*)")
 
 
@@ -313,6 +313,18 @@ def serialize_network_case(network):
 # profiles CSV
 # ---------------------------------------------------------------------------
 
+def _bus_row(key, idx, error, prefix):  # (row in idx, id) of the bus named by text key
+    try:
+        bid = int(key)
+    except ValueError:
+        bid = None
+    if bid is None or str(bid) != key:  # "01", "+1" or "1_0" would alias a bus
+        raise error(f"{prefix}: invalid bus id {key!r}")
+    if bid not in idx:
+        raise error(f"{prefix}: unknown bus {bid}")
+    return idx[bid], bid
+
+
 def parse_profiles(text, network, grid):
     """Parse the ``bus,kind,t1..tN`` CSV into Profiles.
 
@@ -334,12 +346,7 @@ def parse_profiles(text, network, grid):
             continue
         if len(row) != grid.steps + 2:
             raise ProfileError(f"row {ln}: {len(row)} columns, expected {grid.steps + 2}")
-        try:
-            bid = int(row[0])
-        except ValueError:
-            raise ProfileError(f"row {ln}: invalid bus id {row[0]!r}")
-        if bid not in idx:
-            raise ProfileError(f"row {ln}: unknown bus {bid}")
+        i, bid = _bus_row(row[0].strip(), idx, ProfileError, f"row {ln}")
         kind = row[1].strip().lower()
         if kind not in ("load", "gen"):
             raise ProfileError(f"row {ln}: kind must be 'load' or 'gen', got {row[1]!r}")
@@ -355,7 +362,7 @@ def parse_profiles(text, network, grid):
         if (vals < 0).any():
             raise ProfileError(f"row {ln}: negative profile value")
         target = load if kind == "load" else gen
-        target[idx[bid], :] = vals
+        target[i, :] = vals
     return Profiles(gen=gen, load=load)
 
 
@@ -422,21 +429,14 @@ def _per_bus(spec, network, name, steps=None, default=0.0):
         raise ScenarioError(f"{name}: expected an object keyed by bus id, got {spec!r}")
     idx = network.bus_index()
     for key, val in spec.items():
-        try:
-            bid = int(key)
-        except ValueError:
-            bid = None
-        if bid is None or str(bid) != key:  # "01" or "1_0" would alias a bus
-            raise ScenarioError(f"{name}: invalid bus id {key!r}")
-        if bid not in idx:
-            raise ScenarioError(f"{name}: unknown bus {bid}")
+        i, bid = _bus_row(key, idx, ScenarioError, name)
         where = f"{name}: bus {bid}"
         if steps is not None and isinstance(val, list):
             if len(val) != steps:
                 raise ScenarioError(f"{where} needs {steps} values, got {len(val)}")
-            arr[idx[bid]] = [as_number(v, where) for v in val]
+            arr[i] = [as_number(v, where) for v in val]
         else:
-            arr[idx[bid]] = as_number(val, where)
+            arr[i] = as_number(val, where)
     return arr
 
 
@@ -519,14 +519,13 @@ def load_scenario(path, warn=None):
     for key in limits:
         if key not in ("upper", "lower"):
             raise ScenarioError(f"export_limits.{key}: unknown key; expected 'upper' or 'lower'")
-    has_limits = "export_limits" in cfg
     budgets = FlexBudget(
         cap_plus=_per_bus(cfg.get("cap_plus"), network, "cap_plus", steps),
         cap_minus=_per_bus(cfg.get("cap_minus"), network, "cap_minus", steps),
-        export_upper=(_per_bus(limits.get("upper"), network, "export_limits.upper",
-                               steps, default=INF) if has_limits else None),
-        export_lower=(_per_bus(limits.get("lower"), network, "export_limits.lower",
-                               steps, default=-INF) if has_limits else None),
+        export_upper=_per_bus(limits.get("upper"), network, "export_limits.upper",
+                              steps, default=INF),
+        export_lower=_per_bus(limits.get("lower"), network, "export_limits.lower",
+                              steps, default=-INF),
     )
     weights = CostWeights(
         alpha=_per_bus(cfg.get("alpha"), network, "alpha"),
@@ -584,8 +583,8 @@ def validate_scenario(scenario):
         if not br.flow_limit >= 0:
             rep.add("invalid-flow-limit", f"{where} has flow limit {br.flow_limit}", where)
 
-    # every array is (n_bus, steps); an absent export limit is None, and
-    # +-inf in one means "no limit", so only NaN is malformed there
+    # every array is (n_bus, steps); +-inf in an export limit means "no
+    # limit" (an absent key, side or bus), so only NaN is malformed there
     b = scenario.budgets
     shaped = set()
     for kind, label, mat in (("profile", "gen profile", scenario.profiles.gen),
@@ -594,8 +593,6 @@ def validate_scenario(scenario):
                              ("budget", "cap_minus", b.cap_minus),
                              ("export-limit", "export_limits.upper", b.export_upper),
                              ("export-limit", "export_limits.lower", b.export_lower)):
-        if mat is None:
-            continue
         if mat.shape != (n, steps):
             rep.add(f"{kind}-shape", f"{label} shape {mat.shape} != ({n}, {steps})")
             continue

@@ -196,11 +196,9 @@ def build_p1(scenario, x_min):
               (np.arange(r), lay.off_cp + j % 2 * nb + j // 2 // T, -1.0)]
     rhs = [np.zeros(r)]
 
-    # optional net-export limits per (bus, t): lw <= G - L + S+ - S- <= up
+    # net-export limits, a row per finite bound: lw <= G - L + S+ - S- <= up
     up, lw = scenario.budgets.export_upper, scenario.budgets.export_lower
     for sign, bound in ((1.0, up), (-1.0, lw)):
-        if bound is None:
-            continue
         it = np.flatnonzero(np.isfinite(bound))
         rows = r + np.arange(len(it))
         blocks += [(rows, lay.off_sp + it, sign), (rows, lay.off_sm + it, -sign)]

@@ -120,7 +120,7 @@ class Solution:
     duals_hi: np.ndarray = field(repr=False)
     # s'z at the returned iterate: the duality gap.  With zero residuals
     # the optimum lies in [objective - gap, objective].
-    gap: float = math.nan
+    gap: float
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,10 @@ def make_line_scenario(gen, load, cap_plus, cap_minus, *, alpha=None,
         no_load = load.sum(axis=1) <= 0
         cap_plus[no_load] = 0.0
         cap_minus[no_load] = 0.0
-    budgets = FlexBudget(cap_plus=cap_plus, cap_minus=cap_minus,
-                         export_upper=export_upper,
-                         export_lower=export_lower)
+    budgets = FlexBudget(
+        cap_plus=cap_plus, cap_minus=cap_minus,
+        export_upper=np.full((n, steps), np.inf) if export_upper is None else export_upper,
+        export_lower=np.full((n, steps), -np.inf) if export_lower is None else export_lower)
     weights = CostWeights(
         alpha=np.ones(n) if alpha is None else np.asarray(alpha, dtype=float),
         beta=np.ones(n) if beta is None else np.asarray(beta, dtype=float),

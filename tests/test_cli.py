@@ -299,8 +299,12 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert (tmp_path / "o" / "manifest.json").exists()
 
-    def test_analyze_limits_without_export_limits(self, scenario_file, tmp_path, capsys):
-        assert run(["analyze", "--scenario", scenario_file, "--mode", "limits"],
+    # limits mode reads the upper limits only: a lower one is no limit to it
+    @pytest.mark.parametrize("limits", [None, {}, {"lower": {"1": -5.0}}],
+                             ids=["absent", "empty", "lower-only"])
+    def test_analyze_limits_without_export_limits(self, limits, tmp_path, capsys):
+        cfg = SCENARIO if limits is None else {**SCENARIO, "export_limits": limits}
+        assert run(["analyze", "--scenario", write_scenario(tmp_path, cfg), "--mode", "limits"],
                    tmp_path / "o") == 2
         assert "scenario has no export limits" in capsys.readouterr().err
         assert (tmp_path / "o" / "manifest.json").exists()

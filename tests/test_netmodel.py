@@ -195,6 +195,11 @@ class TestProfiles:
 
     @pytest.mark.parametrize("row,msg", [
         ("9,load,1,1,1", "unknown bus"),
+        ("x,load,1,1,1", "row 2: invalid bus id 'x'"),
+        # a bus id is its canonical text, as in a scenario's per-bus keys
+        ("1_0,load,1,1,1", "row 2: invalid bus id '1_0'"),
+        ("01,load,1,1,1", "row 2: invalid bus id '01'"),
+        ("+1,load,1,1,1", r"row 2: invalid bus id '\+1'"),
         ("1,fuel,1,1,1", "kind"),
         ("1,load,1,1", "columns"),
         ("1,load,-1,1,1", "negative"),
@@ -207,6 +212,15 @@ class TestProfiles:
     def test_bad_rows(self, row, msg):
         with pytest.raises(ProfileError, match=msg):
             parse_profiles(f"bus,kind,t1,t2,t3\n{row}\n", self.net, self.grid)
+
+    def test_bus_id_cell_is_stripped(self):
+        p = parse_profiles("bus,kind,t1,t2,t3\n 3,gen,0.5,0.5,0.5\n", self.net, self.grid)
+        assert p.gen[2].tolist() == [0.5, 0.5, 0.5]
+
+    def test_no_header_gives_zero_profiles(self):
+        p = parse_profiles("", self.net, self.grid)
+        assert p.gen.shape == p.load.shape == (3, 3)
+        assert not p.gen.any() and not p.load.any()
 
     def test_blank_rows_skipped(self):
         text = "bus,kind,t1,t2,t3\n1,load,1.0,2.0,3.0\n3,gen,0.5,0.5,0.5\n"
@@ -232,6 +246,10 @@ class TestGraph:
         with pytest.raises(KeyError):
             induced_subgraph_connected(net, [1, 9])
 
+    def test_empty_node_set(self):
+        with pytest.raises(ValueError, match="empty node set"):
+            induced_subgraph_connected(parse_matpower_case(TRIVIAL_CASE), [])
+
 
 class TestScenarioLoading:
     def test_bundled_scenarios_load_and_validate(self):
@@ -249,6 +267,12 @@ class TestScenarioLoading:
 
     def test_per_bus_scalars_broadcast(self, scenario_high):
         assert scenario_high.budgets.cap_plus.shape == (39, 24)
+
+    def test_absent_export_limits_are_infinite(self, scenario_medium):
+        b = scenario_medium.budgets
+        assert b.export_upper.shape == b.export_lower.shape == (39, 24)
+        assert (b.export_upper == np.inf).all()
+        assert (b.export_lower == -np.inf).all()
 
 
 class TestLoadBusesFromProfile:
@@ -297,6 +321,9 @@ class TestValidation:
 
     def test_clean_scenario(self):
         assert validate_scenario(self.build()).ok
+
+    def test_clean_report_text(self):
+        assert str(validate_scenario(self.build())) == "scenario valid"
 
     def test_duplicate_bus_and_missing_reference(self):
         # networks built in code skip the case parser's id checks

@@ -1,15 +1,16 @@
 """Problem compilation, reports and conservation/refinement properties."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_line_scenario
+from conftest import data_path, make_line_scenario
 from energyshed import problems
-from energyshed.netmodel import Branch
+from energyshed.netmodel import Branch, load_scenario
 from energyshed.policy import PolicyInputError, solve_p4
 from energyshed.problems import (
     BuildError,
@@ -355,6 +356,21 @@ class TestExportLimits:
         floors = [2.0, 0.2]
         assert check_feasibility(build_p1(free, floors)[0]) == "feasible"
         assert check_feasibility(build_p1(capped, floors)[0]) == "infeasible"
+
+    def test_empty_export_limits_add_no_row(self, scenario_medium, tmp_path):
+        """An empty export_limits object is the same program as none."""
+        with open(data_path("scenario_medium.json")) as fh:
+            cfg = json.load(fh)
+        for key in ("case_file", "profiles_file"):
+            cfg[key] = data_path(cfg[key])
+        cfg["export_limits"] = {}
+        (tmp_path / "empty.json").write_text(json.dumps(cfg))
+        p = build_p1(scenario_medium, 0.5)[0]
+        q = build_p1(load_scenario(str(tmp_path / "empty.json")), 0.5)[0]
+        for a, b in ((p.A_eq, q.A_eq), (p.G_ineq, q.G_ineq)):
+            assert a.shape == b.shape and (a != b).nnz == 0
+        for a, b in ((p.h_ineq, q.h_ineq), (p.lo, q.lo), (p.hi, q.hi)):
+            assert np.array_equal(a, b)
 
 
 def assert_same_program(p, q, nbt):
